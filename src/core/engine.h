@@ -168,9 +168,6 @@ class Engine : public EngineLike {
                             double seed_bound,
                             Trace* trace = nullptr) const override;
 
-  // This engine IS a single-index engine (EngineLike).
-  const Engine* AsSingleEngine() const override { return this; }
-
   // ---- Dynamic maintenance (paper §4.3.1: the index supports ordinary
   // insertion; the store appends / tombstones).
   //
@@ -217,11 +214,7 @@ class Engine : public EngineLike {
   void RebuildSubsequenceIndex();
 
   const SearchMethod& method(MethodKind kind) const;
-  // The TW-Sim-Search instance (never null); the concurrent executor's
-  // intra-query parallel post-filter builds on its FilterAndFetch().
-  const TwSimSearch& tw_sim_search() const { return *tw_sim_search_; }
-  // The cascade variant (never null); the executor's parallel
-  // cascade path builds on its FilterFetchAndPrune().
+  // The cascade variant (never null); /statusz reads its planner.
   const TwSimSearchCascade& tw_sim_search_cascade() const {
     return *tw_sim_search_cascade_;
   }

@@ -1,14 +1,14 @@
 // EngineLike: the query-serving surface shared by the single-index
-// Engine (core/engine.h) and the partitioned ShardedEngine
-// (shard/sharded_engine.h).
+// Engine (core/engine.h), the partitioned ShardedEngine
+// (shard/sharded_engine.h) and the writable IngestEngine
+// (ingest/ingest_engine.h).
 //
 // The concurrent executor (exec/query_executor.h) serves through this
 // interface, so a thread pool built for one engine shape serves the
-// other unchanged: Submit/SubmitBatch only ever need "run this method at
-// this tolerance" plus the metrics registry the serving layer records
-// into. Intra-query parallelism that reaches into TW-Sim-Search's
-// internals (QueryExecutor::SearchParallel) is single-engine-only and
-// guarded via AsSingleEngine().
+// others unchanged: Submit/SubmitBatch only ever need "run this method
+// at this tolerance" plus the metrics registry the serving layer records
+// into. Intra-query parallelism is the partitioned engines' shard
+// fan-out (shard/fan_out.h), not an executor concern.
 //
 // Thread-safety contract: like Engine, every method here must be safe to
 // call concurrently from any number of threads (implementations keep
@@ -26,7 +26,6 @@
 namespace warpindex {
 
 enum class MethodKind;
-class Engine;
 class IngestEngine;
 
 class EngineLike {
@@ -62,11 +61,6 @@ class EngineLike {
 
   // Simulated elapsed time of a query under the disk model.
   virtual double ElapsedMillis(const SearchCost& cost) const = 0;
-
-  // The underlying single-index Engine, or null when this is a
-  // partitioned engine. Callers that need Engine internals (the
-  // executor's intra-query SearchParallel) go through here.
-  virtual const Engine* AsSingleEngine() const { return nullptr; }
 
   // The writable streaming-ingest engine (ingest/ingest_engine.h), or
   // null for the build-then-serve shapes. Serving layers that accept

@@ -48,9 +48,8 @@ class TwSimSearch : public SearchMethod {
   // Algorithm 1 Steps 1-5 on their own: feature extraction, index range
   // query, and candidate fetch, with I/O and node costs accounted into
   // `result` (stages rtree_search + candidate_fetch). Returns the fetched
-  // candidate sequences in index-return order. The concurrent executor
-  // uses this to run the remaining post-filter step in parallel chunks;
-  // SearchImpl composes it with PostFilter for the sequential path.
+  // candidate sequences in index-return order. SearchImpl follows it with
+  // the DTW post-filter; TwSimSearchCascade with its planned cascade.
   std::vector<Sequence> FilterAndFetch(const Sequence& query,
                                        double epsilon, SearchResult* result,
                                        Trace* trace) const;

@@ -1,14 +1,10 @@
 #include "exec/query_executor.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
-#include <utility>
-
 #include <stdexcept>
+#include <thread>
+#include <utility>
 
 #include "cache/semantic_cache.h"
 #include "common/timer.h"
@@ -306,257 +302,6 @@ BatchResult QueryExecutor::SubmitBatch(
           ? static_cast<double>(requests.size()) / (batch.wall_ms / 1000.0)
           : 0.0;
   return batch;
-}
-
-SearchResult QueryExecutor::SearchParallel(const Sequence& query,
-                                           double epsilon, Trace* trace,
-                                           bool use_cascade) {
-  WallTimer timer;
-  ThreadCpuTimer cpu_timer;
-  SearchResult result;
-  queries_total_->Increment();
-  inflight_->Increment();
-  InflightGuard guard(inflight_);
-
-  // Same executor-initiated tracing as RunQuery.
-  std::optional<Trace> local;
-  if (trace == nullptr && options_.trace_store != nullptr &&
-      options_.trace_store->ShouldTrace()) {
-    local.emplace();
-    trace = &*local;
-  }
-
-  const MethodKind kind = use_cascade ? MethodKind::kTwSimSearchCascade
-                                      : MethodKind::kTwSimSearch;
-  // Semantic cache consult — same protocol as RunQuery. The parallel
-  // post-filter emits matches in candidate order, identical to the
-  // sequential path, so both populate and replay the same entry.
-  uint64_t cache_key = 0;
-  uint64_t cache_version = 0;
-  if (options_.cache != nullptr) {
-    cache_key =
-        SemanticCache::RangeKey(query, engine_->dtw_options(), kind);
-    cache_version = engine_->DataVersion();
-    SearchResult cached;
-    if (options_.cache->LookupRange(cache_key, epsilon, cache_version,
-                                    &cached)) {
-      cached.cost.wall_ms = timer.ElapsedMillis();
-      if (trace != nullptr) {
-        {
-          ScopedSpan span(trace, "cache_hit");
-          TraceCounter(trace, "cached_matches",
-                       static_cast<double>(cached.matches.size()));
-        }
-        OfferTrace(kind, query, epsilon, *trace, cached.matches.size(),
-                   cached.cost.wall_ms, cpu_timer.ElapsedMillis(),
-                   /*errored=*/false);
-      }
-      RecordFlight(kind, query, epsilon, cached,
-                   trace != nullptr ? trace->trace_id() : 0,
-                   CacheTier::kExecutor);
-      return cached;
-    }
-  }
-
-  const Engine* single = engine_->AsSingleEngine();
-  if (single == nullptr) {
-    // Composite engine (ShardedEngine): its SearchWith already fans the
-    // query out across shards on this executor's pool — that fan-out is
-    // the intra-query parallelism here, and the chunked post-filter
-    // below does not apply. Answers are identical either way.
-    result = engine_->SearchWith(kind, query, epsilon, trace,
-                                 CurrentWorkerScratch());
-    if (trace != nullptr) {
-      OfferTrace(kind, query, epsilon, *trace, result.matches.size(),
-                 result.cost.wall_ms, result.cost.cpu_ms, /*errored=*/false);
-    }
-    if (options_.cache != nullptr) {
-      result.cost.cache_misses = 1;
-      if (engine_->DataVersion() == cache_version) {
-        options_.cache->InsertRange(cache_key, epsilon, cache_version,
-                                    result);
-      }
-    }
-    RecordFlight(kind, query, epsilon, result,
-                 trace != nullptr ? trace->trace_id() : 0);
-    return result;
-  }
-
-  CascadeObservation obs;
-  {
-    ScopedSpan span(trace, "query");
-    TraceCounter(trace, "epsilon", epsilon);
-    // The lower-bound cascade (when requested) runs on the calling
-    // thread — its stages are O(n) per candidate and prune the list the
-    // chunked DTW fan-out then works through.
-    std::vector<Sequence> fetched =
-        use_cascade
-            ? single->tw_sim_search_cascade().FilterFetchAndPrune(
-                  query, epsilon, &result, trace, &obs)
-            : single->tw_sim_search().FilterAndFetch(query, epsilon,
-                                                     &result, trace);
-
-    const size_t chunk_size = std::max<size_t>(1, options_.postfilter_chunk);
-    const size_t num_chunks =
-        (fetched.size() + chunk_size - 1) / chunk_size;
-
-    ScopedSpan dtw_span(trace, kStageDtwPostfilter);
-    WallTimer dtw_timer;
-    ThreadCpuTimer dtw_cpu_timer;
-    // CPU burnt in the DTW post-filter across all participating threads.
-    // On the sequential path this is just the caller's delta; the chunked
-    // path sums the per-chunk readings (helper CPU the caller's own
-    // thread clock cannot see).
-    double dtw_cpu_ms = 0.0;
-    // Helper-thread CPU to fold into the query total (the caller's share
-    // is already inside cpu_timer).
-    double helper_cpu_ms = 0.0;
-    const size_t dtw_in = fetched.size();
-    result.cost.dtw_evals += dtw_in;
-    if (num_chunks <= 1) {
-      // Not worth fanning out; identical to the sequential Step-4..7.
-      DtwScratch scratch;
-      const Dtw dtw(single->options().dtw);
-      for (const Sequence& s : fetched) {
-        const DtwResult d =
-            dtw.DistanceWithThreshold(s, query, epsilon, &scratch);
-        result.cost.dtw_cells += d.cells;
-        if (d.distance <= epsilon) {
-          result.matches.push_back(s.id());
-          result.distances.push_back(d.distance);
-        }
-      }
-      dtw_cpu_ms = dtw_cpu_timer.ElapsedMillis();
-    } else {
-      // Shared chunk cursor. The context is a shared_ptr so a straggler
-      // helper task that runs after this call returned (every chunk
-      // already claimed) touches only heap state, never our stack.
-      struct Context {
-        const Sequence* query = nullptr;
-        double epsilon = 0.0;
-        Dtw dtw;
-        std::vector<Sequence> fetched;
-        size_t chunk_size = 0;
-        size_t num_chunks = 0;
-        // Indexed by chunk: outputs stay in candidate order.
-        std::vector<std::vector<SequenceId>> chunk_matches;
-        std::vector<std::vector<double>> chunk_distances;
-        std::vector<uint64_t> chunk_cells;
-        // Thread-CPU ms burnt per chunk (each chunk runs on one thread).
-        std::vector<double> chunk_cpu_ms;
-        std::atomic<size_t> next{0};
-        std::atomic<size_t> done{0};
-        std::mutex mu;
-        std::condition_variable all_done;
-      };
-      auto ctx = std::make_shared<Context>();
-      ctx->query = &query;
-      ctx->epsilon = epsilon;
-      ctx->dtw = Dtw(single->options().dtw);
-      ctx->fetched = std::move(fetched);
-      ctx->chunk_size = chunk_size;
-      ctx->num_chunks = num_chunks;
-      ctx->chunk_matches.resize(num_chunks);
-      ctx->chunk_distances.resize(num_chunks);
-      ctx->chunk_cells.resize(num_chunks, 0);
-      ctx->chunk_cpu_ms.resize(num_chunks, 0.0);
-
-      auto work = [ctx]() {
-        DtwScratch scratch;  // one per participating thread
-        for (;;) {
-          const size_t c = ctx->next.fetch_add(1, std::memory_order_relaxed);
-          if (c >= ctx->num_chunks) {
-            return;
-          }
-          const size_t begin = c * ctx->chunk_size;
-          const size_t end =
-              std::min(ctx->fetched.size(), begin + ctx->chunk_size);
-          std::vector<SequenceId>& matches = ctx->chunk_matches[c];
-          std::vector<double>& distances = ctx->chunk_distances[c];
-          ThreadCpuTimer chunk_cpu;
-          uint64_t cells = 0;
-          for (size_t i = begin; i < end; ++i) {
-            const DtwResult d = ctx->dtw.DistanceWithThreshold(
-                ctx->fetched[i], *ctx->query, ctx->epsilon, &scratch);
-            cells += d.cells;
-            if (d.distance <= ctx->epsilon) {
-              matches.push_back(ctx->fetched[i].id());
-              distances.push_back(d.distance);
-            }
-          }
-          ctx->chunk_cells[c] = cells;
-          ctx->chunk_cpu_ms[c] = chunk_cpu.ElapsedMillis();
-          if (ctx->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-              ctx->num_chunks) {
-            std::lock_guard<std::mutex> lock(ctx->mu);
-            ctx->all_done.notify_all();
-          }
-        }
-      };
-
-      // Idle workers help; the calling thread always participates, so
-      // completion never depends on the pool having free capacity (no
-      // deadlock when called from inside a pool task).
-      const size_t helpers = std::min(pool_.num_threads(), num_chunks - 1);
-      for (size_t i = 0; i < helpers; ++i) {
-        pool_.TrySubmitDetached(work);
-      }
-      ThreadCpuTimer caller_chunk_cpu;
-      work();
-      const double caller_chunk_cpu_ms = caller_chunk_cpu.ElapsedMillis();
-      {
-        std::unique_lock<std::mutex> lock(ctx->mu);
-        ctx->all_done.wait(lock, [&ctx]() {
-          return ctx->done.load(std::memory_order_acquire) ==
-                 ctx->num_chunks;
-        });
-      }
-
-      for (size_t c = 0; c < num_chunks; ++c) {
-        result.cost.dtw_cells += ctx->chunk_cells[c];
-        dtw_cpu_ms += ctx->chunk_cpu_ms[c];
-        result.matches.insert(result.matches.end(),
-                              ctx->chunk_matches[c].begin(),
-                              ctx->chunk_matches[c].end());
-        result.distances.insert(result.distances.end(),
-                                ctx->chunk_distances[c].begin(),
-                                ctx->chunk_distances[c].end());
-      }
-      helper_cpu_ms = std::max(0.0, dtw_cpu_ms - caller_chunk_cpu_ms);
-    }
-    const double dtw_ms = dtw_timer.ElapsedMillis();
-    const size_t dtw_pruned = dtw_in - result.matches.size();
-    result.cost.stages.Add(kStageDtwPostfilter, dtw_ms);
-    result.cost.stages_cpu.Add(kStageDtwPostfilter, dtw_cpu_ms);
-    result.cost.cpu_ms += helper_cpu_ms;
-    result.cost.prunes.Record(kStageDtwPostfilter, dtw_in, dtw_pruned);
-    if (use_cascade) {
-      obs.dtw.in += dtw_in;
-      obs.dtw.pruned += dtw_pruned;
-      obs.dtw.ms += dtw_ms;
-      single->tw_sim_search_cascade().ObserveOutcome(obs);
-    }
-    TraceCounter(trace, "dtw_cells",
-                 static_cast<double>(result.cost.dtw_cells));
-  }
-  result.cost.wall_ms = timer.ElapsedMillis();
-  // Caller CPU (cascade + its own chunk share + merge) plus the helper
-  // CPU folded in above.
-  result.cost.cpu_ms += cpu_timer.ElapsedMillis();
-  if (trace != nullptr) {
-    OfferTrace(kind, query, epsilon, *trace, result.matches.size(),
-               result.cost.wall_ms, result.cost.cpu_ms, /*errored=*/false);
-  }
-  if (options_.cache != nullptr) {
-    result.cost.cache_misses = 1;
-    if (engine_->DataVersion() == cache_version) {
-      options_.cache->InsertRange(cache_key, epsilon, cache_version,
-                                  result);
-    }
-  }
-  RecordFlight(kind, query, epsilon, result,
-               trace != nullptr ? trace->trace_id() : 0);
-  return result;
 }
 
 KnnResult QueryExecutor::SearchKnn(const Sequence& query, size_t k,

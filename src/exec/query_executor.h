@@ -4,21 +4,13 @@
 // scatter-gather fan-out; see shard/sharded_engine.h).
 //
 // The executor owns a fixed ThreadPool and runs range queries of any
-// MethodKind over it, two ways:
-//
-//   * Inter-query parallelism — Submit() enqueues one query and returns a
-//     future; SubmitBatch() runs a whole workload and blocks until every
-//     result is in, reporting batch wall time and throughput. Queries are
-//     embarrassingly parallel (the Engine's read path is const and
-//     thread-safe; see core/engine.h), so N workers give ~N× throughput
-//     until memory bandwidth saturates.
-//
-//   * Intra-query parallelism — SearchParallel() runs TW-Sim-Search with
-//     its post-filter stage (Algorithm 1 Steps 4..7, the DTW-heavy part)
-//     chunked across the pool: the candidate list is split into fixed
-//     chunks claimed off an atomic cursor by the calling thread plus any
-//     idle workers. Matches come back in candidate order, so answers are
-//     byte-identical to the sequential path.
+// MethodKind over it. Submit() enqueues one query and returns a future;
+// SubmitBatch() runs a whole workload and blocks until every result is
+// in, reporting batch wall time and throughput. Queries are
+// embarrassingly parallel (the Engine's read path is const and
+// thread-safe; see core/engine.h), so N workers give ~N× throughput
+// until memory bandwidth saturates. Intra-query parallelism comes from a
+// partitioned engine's shard fan-out (shard/fan_out.h) on the same pool.
 //
 // Each worker keeps a DtwScratch reused across every query it executes,
 // so steady-state serving performs no per-query DP-row allocations.
@@ -35,7 +27,7 @@
 // head-gates its own traces on untraced queries and offers every
 // finished (or thrown) trace for tail-based retention behind /tracez.
 //
-// Thread-safety: Submit/SubmitBatch/SearchParallel may be called from
+// Thread-safety: Submit/SubmitBatch/SearchKnn may be called from
 // multiple threads concurrently. Do not mutate the engine (Insert/
 // Remove/Rebuild*) while queries are in flight.
 
@@ -60,8 +52,6 @@ class SemanticCache;
 struct QueryExecutorOptions {
   // Worker count; 0 picks std::thread::hardware_concurrency().
   size_t num_threads = 0;
-  // Candidates per chunk for SearchParallel's post-filter fan-out.
-  size_t postfilter_chunk = 16;
   // Optional always-on query history sinks (borrowed; must outlive the
   // executor). Every completed query is offered to both — the recorder
   // samples, the slow log keeps the worst-K — feeding /flightrecorder
@@ -130,27 +120,6 @@ class QueryExecutor {
   // Runs `requests` over the pool and blocks until all results are in.
   BatchResult SubmitBatch(const std::vector<QueryRequest>& requests,
                           const BatchOptions& batch_options = {});
-
-  // TW-Sim-Search with the post-filter stage parallelized across the
-  // pool. Answers (matches, num_candidates, dtw_cells, I/O) are
-  // identical to engine().Search(); only wall time shrinks. Safe to call
-  // even from inside a pool task: the calling thread participates in the
-  // chunk work, so progress never depends on idle workers.
-  //
-  // On an engine that is not a single index (AsSingleEngine() == null,
-  // i.e. a ShardedEngine), the chunked post-filter does not apply; the
-  // query runs through SearchWith instead, whose per-shard fan-out IS
-  // the intra-query parallelism. Answers are identical either way.
-  //
-  // With `use_cascade`, the planned lower-bound cascade
-  // (engine().tw_sim_search_cascade()) runs on the calling thread
-  // between the fetch and the parallel DTW fan-out, so only the
-  // survivors pay chunked DP; answers are still identical (see
-  // docs/PLANNER.md), and the executed query feeds the planner's cost
-  // model exactly like the sequential path.
-  SearchResult SearchParallel(const Sequence& query, double epsilon,
-                              Trace* trace = nullptr,
-                              bool use_cascade = false);
 
   // Exact kNN through the semantic cache (when configured): a stored
   // kNN answer with k' >= k is returned directly; otherwise a stored

@@ -16,15 +16,15 @@
 //     that snapshot, so a query sees one consistent union of base +
 //     delta even while writes land and the compactor swaps epochs.
 //
-//   * Answers carry the exact merge semantics of the sharded engine:
-//     range results are the union of per-base results (feature-MBR
-//     pruning included) and a delta scan (D_tw-lb pre-filter, then
-//     thresholded DTW — precisely Algorithm 1's predicate), tombstones
-//     filtered exactly, global ids sorted ascending. kNN fans out with
-//     the SharedKnnBound — the delta scan runs first to pre-tighten the
-//     bound, each base is asked for k + (its tombstone count) neighbors
-//     so filtering dead ids can never starve the merge, and the final
-//     (distance, id)-ordered truncation is bit-identical to a
+//   * Queries run the same fan-out core as ShardedEngine
+//     (shard/fan_out.h): feature-MBR pruning, trace stitching, cost
+//     folding and the exact merge. This engine adds the delta layer:
+//     range results gain a per-partition delta scan (D_tw-lb
+//     pre-filter, then thresholded DTW — precisely Algorithm 1's
+//     predicate) and lose tombstoned base rows; kNN scans the deltas
+//     first to pre-tighten the SharedKnnBound and asks each base for
+//     k + (its tombstone count) neighbors, so filtering dead ids can
+//     never starve the merge. Answers are bit-identical to a
 //     from-scratch single engine over the same live set.
 //
 //   * A background Compactor (ingest/compactor.h) freezes a delta that
@@ -63,7 +63,6 @@
 #include "exec/thread_pool.h"
 #include "ingest/delta_shard.h"
 #include "obs/trace_store.h"
-#include "shard/scatter_gather.h"
 #include "shard/shard_view.h"
 
 namespace warpindex {

@@ -45,7 +45,6 @@ struct Router::GroupState {
   JsonValue request;
   std::chrono::steady_clock::time_point launch{};
   std::chrono::steady_clock::time_point hedge_deadline{};
-  double start_offset_ms = 0.0;
   bool done = false;
   bool hedged = false;
   int outstanding = 0;
@@ -344,7 +343,7 @@ void Router::RunLeg(WireType type, std::shared_ptr<CallContext> context,
 
 void Router::CallGroups(WireType type, std::vector<JsonValue> requests,
                         const std::vector<size_t>& group_ids,
-                        const WallTimer& query_start,
+                        const Trace* trace,
                         std::vector<SubOutcome>* outcomes) const {
   outcomes->assign(group_ids.size(), SubOutcome());
   if (group_ids.empty()) {
@@ -365,7 +364,8 @@ void Router::CallGroups(WireType type, std::vector<JsonValue> requests,
     state.request = std::move(requests[i]);
     state.launch = now;
     state.hedge_deadline = hedge_at;
-    state.start_offset_ms = query_start.ElapsedMillis();
+    state.outcome.start_offset_ms =
+        trace != nullptr ? trace->ElapsedMillis() : 0.0;
     state.outstanding = 1;
   }
   subrequests_.fetch_add(group_ids.size(), std::memory_order_relaxed);
@@ -637,8 +637,8 @@ Status Router::RouteRange(MethodKind kind, const Sequence& query,
                  static_cast<double>(active_shards));
     TraceCounter(trace, "shards_skipped",
                  static_cast<double>(num_shards_ - active_shards));
-    CallGroups(WireType::kRange, std::move(requests), group_ids,
-               timer, &outcomes);
+    CallGroups(WireType::kRange, std::move(requests), group_ids, trace,
+               &outcomes);
     for (size_t i = 0; i < outcomes.size(); ++i) {
       const SubOutcome& outcome = outcomes[i];
       if (!outcome.status.ok()) {
@@ -806,7 +806,7 @@ Status Router::RouteKnn(const Sequence& query, size_t k, Trace* trace,
         requests.push_back(std::move(request));
       }
       std::vector<SubOutcome> outcomes;
-      CallGroups(WireType::kKnn, std::move(requests), wave, timer,
+      CallGroups(WireType::kKnn, std::move(requests), wave, trace,
                  &outcomes);
       for (size_t i = 0; i < outcomes.size(); ++i) {
         const SubOutcome& outcome = outcomes[i];

@@ -175,7 +175,7 @@ class Router : public EngineLike {
     uint32_t hedges = 0;
     uint32_t retries = 0;
     double wall_ms = 0.0;
-    double start_offset_ms = 0.0;  // vs. query start
+    double start_offset_ms = 0.0;  // on the query trace's clock
   };
 
   struct GroupState;
@@ -189,10 +189,10 @@ class Router : public EngineLike {
   // hedging and retries; outcomes land in `outcomes` (aligned with
   // group_ids). Returns once every group is decided; losing hedge legs
   // may still be unwinding on the I/O pool (they hold the shared
-  // context, not this call's stack). `query_start` anchors span offsets.
+  // context, not this call's stack). Launch offsets are read off
+  // `trace`'s clock (null: untraced, offsets unused).
   void CallGroups(WireType type, std::vector<JsonValue> requests,
-                  const std::vector<size_t>& group_ids,
-                  const WallTimer& query_start,
+                  const std::vector<size_t>& group_ids, const Trace* trace,
                   std::vector<SubOutcome>* outcomes) const;
 
   // One leg: sequential replica attempts with backoff.

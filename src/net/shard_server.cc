@@ -7,7 +7,6 @@
 #include "common/timer.h"
 #include "obs/exporters.h"
 #include "net/serialize.h"
-#include "sequence/feature.h"
 
 namespace warpindex {
 namespace {
@@ -68,43 +67,11 @@ Status ShardServer::Load() {
   }
   options_.engine.page_size_bytes = manifest_.page_size_bytes;
 
-  engines_.reserve(options_.serve_shards.size());
-  global_of_.reserve(options_.serve_shards.size());
-  for (const uint32_t shard : options_.serve_shards) {
-    std::unique_ptr<Engine> engine;
+  shards_.resize(options_.serve_shards.size());
+  for (size_t slot = 0; slot < shards_.size(); ++slot) {
     WARPINDEX_RETURN_IF_ERROR(
-        Engine::Open(options_.db_dir + "/" + ShardSubdir(shard),
-                     options_.engine, &engine));
-    // Local ids were assigned in ascending global order (see
-    // shard/partitioner.h), so scanning the manifest assignment forward
-    // rebuilds local -> global exactly.
-    std::vector<SequenceId> global_of;
-    const std::vector<uint32_t>& shard_of = manifest_.assignment.shard_of;
-    for (size_t g = 0; g < shard_of.size(); ++g) {
-      if (shard_of[g] == shard) {
-        global_of.push_back(static_cast<SequenceId>(g));
-      }
-    }
-    if (engine->dataset().size() != global_of.size()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(shard) +
-          " holds a different sequence count than the manifest assigns");
-    }
-    engines_.push_back(std::move(engine));
-    global_of_.push_back(std::move(global_of));
-  }
-
-  // Live-only feature MBRs, exactly as ShardedEngine computes them: a
-  // tombstoned sequence must not widen the box the router prunes with.
-  bounds_.assign(engines_.size(), ShardFeatureBounds{});
-  for (size_t slot = 0; slot < engines_.size(); ++slot) {
-    const Engine& engine = *engines_[slot];
-    const Dataset& data = engine.dataset();
-    for (size_t local = 0; local < data.size(); ++local) {
-      if (engine.Contains(static_cast<SequenceId>(local))) {
-        bounds_[slot].Cover(ExtractFeature(data[local]));
-      }
-    }
+        OpenBaseShard(options_.db_dir, options_.serve_shards[slot],
+                      manifest_.assignment, options_.engine, &shards_[slot]));
   }
   return Status::Ok();
 }
@@ -139,7 +106,7 @@ Status ShardServer::HandleStats(const JsonValue& /*request*/,
   response->Set("replica", JsonValue::Int(options_.replica));
   response->Set("draining", JsonValue::Bool(server_.draining()));
   response->Set("shards",
-                JsonValue::Int(static_cast<int64_t>(engines_.size())));
+                JsonValue::Int(static_cast<int64_t>(shards_.size())));
   // The same snapshot /metrics would render on this process, as a JSON
   // object the poller can walk (counter sums, histogram bucket merges).
   MetricsRegistry* registry = options_.server.metrics != nullptr
@@ -156,12 +123,12 @@ Status ShardServer::HandleStats(const JsonValue& /*request*/,
 
 std::vector<ShardServer::ServedShard> ShardServer::served() const {
   std::vector<ServedShard> out;
-  out.reserve(engines_.size());
-  for (size_t slot = 0; slot < engines_.size(); ++slot) {
+  out.reserve(shards_.size());
+  for (size_t slot = 0; slot < shards_.size(); ++slot) {
     ServedShard row;
     row.shard = options_.serve_shards[slot];
-    row.sequences = engines_[slot]->dataset().size();
-    row.live = engines_[slot]->live_size();
+    row.sequences = shards_[slot].engine->dataset().size();
+    row.live = shards_[slot].engine->live_size();
     out.push_back(row);
   }
   return out;
@@ -211,18 +178,18 @@ Status ShardServer::HandleHello(const JsonValue& /*request*/,
   response->Set("partitioner",
                 JsonValue::Str(PartitionerKindName(manifest_.partitioner)));
   JsonValue shards = JsonValue::Array();
-  for (size_t slot = 0; slot < engines_.size(); ++slot) {
+  for (size_t slot = 0; slot < shards_.size(); ++slot) {
+    const BaseShard& shard = shards_[slot];
     JsonValue item = JsonValue::Object();
     item.Set("shard", JsonValue::Int(options_.serve_shards[slot]));
-    item.Set("sequences",
-             JsonValue::Int(
-                 static_cast<int64_t>(engines_[slot]->dataset().size())));
-    item.Set("live", JsonValue::Int(
-                         static_cast<int64_t>(engines_[slot]->live_size())));
+    item.Set("sequences", JsonValue::Int(static_cast<int64_t>(
+                              shard.engine->dataset().size())));
+    item.Set("live",
+             JsonValue::Int(static_cast<int64_t>(shard.engine->live_size())));
     // null MBR = empty shard; the router prunes it unconditionally,
     // matching ShardFeatureBounds::valid == false in-process.
-    item.Set("mbr", bounds_[slot].valid ? RectToJson(bounds_[slot].mbr)
-                                        : JsonValue::Null());
+    item.Set("mbr", shard.bounds.valid ? RectToJson(shard.bounds.mbr)
+                                       : JsonValue::Null());
     shards.Add(std::move(item));
   }
   response->Set("shards", std::move(shards));
@@ -281,7 +248,7 @@ Status ShardServer::HandleRange(const JsonValue& request,
     }
     ThreadCpuTimer search_cpu;
     const SearchResult partial =
-        engines_[slot]->SearchWith(kind, query, epsilon, sub, &scratch);
+        shards_[slot].engine->SearchWith(kind, query, epsilon, sub, &scratch);
     search_caller_cpu_ms += search_cpu.ElapsedMillis();
     if (traced) {
       trace.AddCounter("candidates",
@@ -293,7 +260,7 @@ Status ShardServer::HandleRange(const JsonValue& request,
     merged.num_candidates += partial.num_candidates;
     for (const SequenceId local : partial.matches) {
       merged.matches.push_back(
-          global_of_[static_cast<size_t>(slot)][static_cast<size_t>(local)]);
+          (*shards_[slot].global_of)[static_cast<size_t>(local)]);
     }
     merged.distances.insert(merged.distances.end(),
                             partial.distances.begin(),
@@ -370,7 +337,7 @@ Status ShardServer::HandleKnn(const JsonValue& request,
                        static_cast<double>(options_.serve_shards[slot]));
     }
     ThreadCpuTimer search_cpu;
-    const KnnResult partial = engines_[slot]->SearchKnnBounded(
+    const KnnResult partial = shards_[slot].engine->SearchKnnBounded(
         query, static_cast<size_t>(k), sub, &shared_bound);
     search_caller_cpu_ms += search_cpu.ElapsedMillis();
     if (traced) {
@@ -383,8 +350,7 @@ Status ShardServer::HandleKnn(const JsonValue& request,
     merged.num_refined += partial.num_refined;
     merged.cost.MergeParallel(partial.cost);
     for (KnnMatch match : partial.neighbors) {
-      match.id =
-          global_of_[static_cast<size_t>(slot)][static_cast<size_t>(match.id)];
+      match.id = (*shards_[slot].global_of)[static_cast<size_t>(match.id)];
       all.push_back(match);
     }
   }

@@ -102,7 +102,7 @@ class ShardServer {
   Status Load();
   void RegisterHandlers();
 
-  // Slot = position in serve_shards / engines_ for a manifest shard
+  // Slot = position in serve_shards / shards_ for a manifest shard
   // index; -1 when this server does not serve it.
   int SlotOf(uint32_t shard) const;
 
@@ -120,9 +120,7 @@ class ShardServer {
 
   ShardServerOptions options_;
   ShardManifest manifest_;
-  std::vector<std::unique_ptr<Engine>> engines_;      // per slot
-  std::vector<std::vector<SequenceId>> global_of_;    // per slot: local->global
-  std::vector<ShardFeatureBounds> bounds_;            // per slot, live-only
+  std::vector<BaseShard> shards_;  // per slot
   WireServer server_;
 };
 

@@ -147,14 +147,17 @@ class Trace {
   // Number of spans still open (0 once the query has finished).
   size_t open_depth() const { return open_stack_.size(); }
 
- private:
-  using Clock = std::chrono::steady_clock;
-
+  // Milliseconds since this trace's time origin — the clock every span's
+  // start_ms is measured on. Spans assembled by hand (AppendSpan) take
+  // their offsets from here so they nest inside spans recorded live.
   double ElapsedMillis() const {
     return std::chrono::duration<double, std::milli>(Clock::now() -
                                                      origin_)
         .count();
   }
+
+ private:
+  using Clock = std::chrono::steady_clock;
 
   uint64_t trace_id_;
   Clock::time_point origin_;

@@ -6,18 +6,6 @@
 
 namespace warpindex {
 
-std::vector<Sequence> TwSimSearchCascade::FilterFetchAndPrune(
-    const Sequence& query, double epsilon, SearchResult* result,
-    Trace* trace, CascadeObservation* obs) const {
-  const CascadePlan plan = planner_.Choose();
-  TraceCounter(trace, "cascade_stages",
-               static_cast<double>(plan.stages.size()));
-  std::vector<Sequence> fetched =
-      base_->FilterAndFetch(query, epsilon, result, trace);
-  cascade_.RunLbStages(query, epsilon, &fetched, plan, result, trace, obs);
-  return fetched;
-}
-
 SearchResult TwSimSearchCascade::SearchImpl(const Sequence& query,
                                             double epsilon, Trace* trace,
                                             DtwScratch* scratch) const {

@@ -28,22 +28,6 @@ class TwSimSearchCascade : public SearchMethod {
 
   const char* name() const override { return "TW-Sim-Search-Cascade"; }
 
-  // Steps 1-5 plus the planned lower-bound stages: returns the surviving
-  // candidates, leaving the exact-DTW stage to the caller (the executor
-  // fans it out in parallel chunks). The caller finishes the query by
-  // filling `obs->dtw` and passing `obs` to ObserveOutcome() so the
-  // planner's cost model keeps learning.
-  std::vector<Sequence> FilterFetchAndPrune(const Sequence& query,
-                                            double epsilon,
-                                            SearchResult* result,
-                                            Trace* trace,
-                                            CascadeObservation* obs) const;
-
-  // Feeds one executed query's observations back into the planner.
-  void ObserveOutcome(const CascadeObservation& obs) const {
-    planner_.Observe(obs);
-  }
-
   const FilterCascade& cascade() const { return cascade_; }
   const CascadePlanner& planner() const { return planner_; }
 

@@ -2,6 +2,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <memory>
+#include <system_error>
+#include <utility>
 
 namespace warpindex {
 namespace {
@@ -108,6 +112,79 @@ Status LoadShardManifest(const std::string& path, ShardManifest* out) {
   out->partitioner = static_cast<PartitionerKind>(partitioner);
   out->page_size_bytes = static_cast<size_t>(page_size);
   out->assignment.num_shards = num_shards;
+  return Status::Ok();
+}
+
+Status SaveShardDirectory(const std::string& dir,
+                          const ShardManifest& manifest,
+                          const std::vector<BaseShard>& shards) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return Status::IoError("cannot create directory " + dir + ": " +
+                           ec.message());
+  }
+  WARPINDEX_RETURN_IF_ERROR(
+      SaveShardManifest(dir + "/manifest.wism", manifest));
+  for (size_t s = 0; s < shards.size(); ++s) {
+    WARPINDEX_RETURN_IF_ERROR(
+        shards[s].engine->Save(dir + "/" + ShardSubdir(s)));
+  }
+  return Status::Ok();
+}
+
+Status OpenBaseShard(const std::string& dir, size_t index,
+                     const ShardAssignment& assignment,
+                     const EngineOptions& engine, BaseShard* out) {
+  std::unique_ptr<Engine> opened;
+  WARPINDEX_RETURN_IF_ERROR(
+      Engine::Open(dir + "/" + ShardSubdir(index), engine, &opened));
+  std::vector<SequenceId> global_of;
+  for (size_t g = 0; g < assignment.shard_of.size(); ++g) {
+    if (assignment.shard_of[g] == index) {
+      global_of.push_back(static_cast<SequenceId>(g));
+    }
+  }
+  if (opened->dataset().size() != global_of.size()) {
+    return Status::InvalidArgument(
+        "shard " + std::to_string(index) +
+        " holds a different sequence count than the manifest assigns");
+  }
+  out->engine = std::shared_ptr<const Engine>(std::move(opened));
+  out->global_of =
+      std::make_shared<const std::vector<SequenceId>>(std::move(global_of));
+  out->bounds = LiveFeatureBounds(*out->engine);
+  return Status::Ok();
+}
+
+Status OpenShardDirectory(const std::string& dir, size_t num_shards,
+                          PartitionerKind partitioner,
+                          const EngineOptions& engine,
+                          ShardManifest* manifest,
+                          std::vector<BaseShard>* shards) {
+  WARPINDEX_RETURN_IF_ERROR(
+      LoadShardManifest(dir + "/manifest.wism", manifest));
+  if (manifest->assignment.num_shards != num_shards) {
+    return Status::InvalidArgument(
+        "shard count mismatch: saved " +
+        std::to_string(manifest->assignment.num_shards) + ", requested " +
+        std::to_string(num_shards));
+  }
+  if (manifest->partitioner != partitioner) {
+    return Status::InvalidArgument(
+        std::string("partitioner mismatch: saved ") +
+        PartitionerKindName(manifest->partitioner) + ", requested " +
+        PartitionerKindName(partitioner));
+  }
+  if (manifest->page_size_bytes != engine.page_size_bytes) {
+    return Status::InvalidArgument(
+        "page size mismatch between saved shards and EngineOptions");
+  }
+  shards->assign(num_shards, BaseShard{});
+  for (size_t s = 0; s < num_shards; ++s) {
+    WARPINDEX_RETURN_IF_ERROR(OpenBaseShard(dir, s, manifest->assignment,
+                                            engine, &(*shards)[s]));
+  }
   return Status::Ok();
 }
 

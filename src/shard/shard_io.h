@@ -40,6 +40,7 @@
 
 #include "common/status.h"
 #include "shard/partitioner.h"
+#include "shard/shard_view.h"
 
 namespace warpindex {
 
@@ -64,6 +65,31 @@ std::string ShardSubdir(size_t index);
 Status SaveShardManifest(const std::string& path,
                          const ShardManifest& manifest);
 Status LoadShardManifest(const std::string& path, ShardManifest* out);
+
+// Writes a sharded directory: `manifest` plus Engine::Save of every
+// shard (aligned with the manifest's shard indices).
+Status SaveShardDirectory(const std::string& dir,
+                          const ShardManifest& manifest,
+                          const std::vector<BaseShard>& shards);
+
+// Opens shard `index` of the directory `dir` whose manifest assigned
+// `assignment`: the shard's Engine, its global ids (local ids were
+// assigned in ascending global order, so a forward scan of the
+// assignment rebuilds local -> global) and live-row feature bounds.
+// Rejects a shard whose sequence count differs from what the manifest
+// assigns it — the two travel separately.
+Status OpenBaseShard(const std::string& dir, size_t index,
+                     const ShardAssignment& assignment,
+                     const EngineOptions& engine, BaseShard* out);
+
+// Opens a directory written by SaveShardDirectory. Rejects a manifest
+// whose shard count, partitioner or page size differs from the request,
+// then opens every shard with OpenBaseShard — never re-partitions.
+Status OpenShardDirectory(const std::string& dir, size_t num_shards,
+                          PartitionerKind partitioner,
+                          const EngineOptions& engine,
+                          ShardManifest* manifest,
+                          std::vector<BaseShard>* shards);
 
 }  // namespace warpindex
 

@@ -1,12 +1,17 @@
-// ShardView: the immutable per-epoch serving snapshot of the streaming
-// ingest engine (ingest/ingest_engine.h).
+// BaseShard and ShardView: how a served partition is described.
 //
-// The build-then-serve ShardedEngine owns its per-shard Engines for its
-// whole lifetime. Under streaming ingest the base shards are REPLACED at
-// compaction time, so the serving topology becomes an epoch-published
-// value: one ShardView holds shared ownership of every base Engine, the
-// local->global id mapping of each, the feature-MBR pruning bounds, and
-// the range partitioner's routing cut points. Readers pin the view (a
+// A BaseShard — one shard's Engine, its local -> global id map and its
+// feature-MBR pruning bounds — is the record every in-process fan-out
+// reads (shard/fan_out.h). The build-then-serve ShardedEngine holds one
+// per shard for its whole lifetime; ShardServer holds one per served
+// shard.
+//
+// ShardView is the immutable per-epoch serving snapshot of the streaming
+// ingest engine (ingest/ingest_engine.h). Under streaming ingest the base
+// shards are REPLACED at compaction time, so the serving topology becomes
+// an epoch-published value: one ShardView holds every BaseShard (shared
+// ownership of each Engine) and the range partitioner's routing cut
+// points. Readers pin the view (a
 // shared_ptr copy under the epoch lock) and keep querying it even while
 // the compactor swaps in a successor — sequences never disappear under a
 // running query, and a query's answer is computed against exactly one
@@ -63,6 +68,18 @@ struct ShardView {
   // Monotonic publication counter (0 = initial build).
   uint64_t epoch = 0;
 };
+
+// Splits `dataset` (consumed) by `assignment` into one bulk-loaded base
+// shard per partition. Global ids are visited ascending, so shard-local
+// ids preserve global order (the kNN tie-break relies on this; see
+// shard/partitioner.h).
+std::vector<BaseShard> BuildBaseShards(Dataset dataset,
+                                       const ShardAssignment& assignment,
+                                       const EngineOptions& options);
+
+// The feature MBR of `engine`'s live rows: a tombstoned sequence must
+// not widen the box shard pruning tests against.
+ShardFeatureBounds LiveFeatureBounds(const Engine& engine);
 
 // The shard an insert with key `key` routes to under `cuts` (see
 // ShardView::range_cuts). Requires cuts non-empty.

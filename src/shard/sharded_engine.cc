@@ -1,97 +1,41 @@
 #include "shard/sharded_engine.h"
 
-#include <algorithm>
-#include <array>
 #include <cassert>
-#include <filesystem>
 #include <string>
-#include <system_error>
+#include <utility>
 
-#include "common/timer.h"
 #include "shard/shard_io.h"
 
 namespace warpindex {
-namespace {
-
-Point QueryFeaturePoint(const Sequence& query) {
-  const std::array<double, kFeatureDims> p = ExtractFeature(query).AsPoint();
-  return Point::FromArray(p.data(), kFeatureDims);
-}
-
-}  // namespace
 
 ShardedEngine::ShardedEngine(Dataset dataset, ShardedEngineOptions options)
     : options_(std::move(options)) {
   assert(options_.num_shards >= 1);
   ShardAssignment assignment =
       AssignShards(dataset, options_.partitioner, options_.num_shards);
-  BuildFromDataset(std::move(dataset), std::move(assignment));
+  shards_ = BuildBaseShards(std::move(dataset), assignment, options_.engine);
+  Init(std::move(assignment));
 }
 
-ShardedEngine::ShardedEngine(std::vector<std::unique_ptr<Engine>> shards,
+ShardedEngine::ShardedEngine(std::vector<BaseShard> shards,
                              ShardedEngineOptions options,
                              ShardAssignment assignment)
     : options_(std::move(options)), shards_(std::move(shards)) {
-  BuildIdMaps(std::move(assignment));
-  ComputeBoundsFromShards();
-  InitWiring();
+  Init(std::move(assignment));
 }
 
-void ShardedEngine::BuildFromDataset(Dataset dataset,
-                                     ShardAssignment assignment) {
-  // Split into per-shard datasets. Dataset::Add re-ids each copy to its
-  // position, and we visit global ids ascending, so shard-local ids
-  // preserve global order (the kNN tie-break relies on this; see
-  // shard/partitioner.h).
-  std::vector<Dataset> parts(assignment.num_shards);
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    parts[assignment.shard_of[i]].Add(dataset[i]);
-  }
-  shards_.reserve(parts.size());
-  for (Dataset& part : parts) {
-    shards_.push_back(
-        std::make_unique<Engine>(std::move(part), options_.engine));
-  }
-  BuildIdMaps(std::move(assignment));
-  ComputeBoundsFromShards();
-  InitWiring();
-}
-
-void ShardedEngine::BuildIdMaps(ShardAssignment assignment) {
+void ShardedEngine::Init(ShardAssignment assignment) {
   shard_of_ = std::move(assignment.shard_of);
-  const size_t n = shard_of_.size();
-  local_of_.resize(n);
-  global_of_.assign(shards_.size(), {});
-  for (size_t g = 0; g < n; ++g) {
+  local_of_.resize(shard_of_.size());
+  std::vector<SequenceId> next_local(shards_.size(), 0);
+  for (size_t g = 0; g < shard_of_.size(); ++g) {
     const uint32_t s = shard_of_[g];
-    if (s == kDroppedShard) {
-      // Manifest v2: the id was deleted and compacted away (see
-      // shard/shard_io.h); it keeps its slot in the global id space but
-      // maps to no shard.
-      local_of_[g] = kInvalidSequenceId;
-      continue;
-    }
-    local_of_[g] = static_cast<SequenceId>(global_of_[s].size());
-    global_of_[s].push_back(static_cast<SequenceId>(g));
+    // Manifest v2: a dropped id (deleted and compacted away; see
+    // shard/shard_io.h) keeps its slot in the global id space but maps
+    // to no shard.
+    local_of_[g] = s == kDroppedShard ? kInvalidSequenceId : next_local[s]++;
   }
-}
 
-void ShardedEngine::ComputeBoundsFromShards() {
-  // Over live sequences only (Open() restores tombstones): a dead
-  // sequence must not widen the pruning MBR.
-  bounds_.assign(shards_.size(), ShardFeatureBounds{});
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Engine& engine = *shards_[s];
-    const Dataset& data = engine.dataset();
-    for (size_t local = 0; local < data.size(); ++local) {
-      if (engine.Contains(static_cast<SequenceId>(local))) {
-        bounds_[s].Cover(ExtractFeature(data[local]));
-      }
-    }
-  }
-}
-
-void ShardedEngine::InitWiring() {
   shard_queries_ = std::vector<std::atomic<uint64_t>>(shards_.size());
   shard_skipped_ = std::vector<std::atomic<uint64_t>>(shards_.size());
   MetricsRegistry& registry = metrics();
@@ -111,126 +55,48 @@ void ShardedEngine::InitWiring() {
 
 size_t ShardedEngine::live_size() const {
   size_t live = 0;
-  for (const auto& shard : shards_) {
-    live += shard->live_size();
+  for (const BaseShard& shard : shards_) {
+    live += shard.engine->live_size();
   }
   return live;
+}
+
+FanOutHooks ShardedEngine::BeginFanOut(size_t* skipped) const {
+  logical_queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_total_->Increment();
+  FanOutHooks hooks;
+  hooks.labels = {{"partitioner", static_cast<double>(options_.partitioner)}};
+  hooks.on_skip = [this, skipped](size_t s) {
+    ++*skipped;
+    shard_skipped_[s].fetch_add(1, std::memory_order_relaxed);
+  };
+  hooks.on_visit = [this](size_t s, const SearchResult* /*base*/) {
+    shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
+  };
+  return hooks;
+}
+
+void ShardedEngine::FinishFanOut(size_t skipped) const {
+  const size_t visited = shards_.size() - skipped;
+  skipped_total_->Increment(skipped);
+  subqueries_total_->Increment(visited);
+  fanout_hist_->Observe(static_cast<double>(visited));
 }
 
 SearchResult ShardedEngine::SearchWith(MethodKind kind, const Sequence& query,
                                        double epsilon, Trace* trace,
                                        DtwScratch* /*scratch*/) const {
-  WallTimer timer;
-  // Caller-thread CPU for the pruning/merge/sort work this layer does
-  // itself. The caller also participates in the scatter-gather fan-out,
-  // but THAT CPU is already inside the per-shard partial costs, so the
-  // fan-out window is measured separately and subtracted below.
-  ThreadCpuTimer cpu_timer;
-  double fanout_caller_cpu_ms = 0.0;
-  logical_queries_.fetch_add(1, std::memory_order_relaxed);
-  queries_total_->Increment();
-  const Point feature_point = QueryFeaturePoint(query);
-
-  // Shard pruning: a shard whose feature MBR is strictly farther than
-  // epsilon (L_inf MINDIST) holds no sequence within D_tw-lb <= epsilon,
-  // hence none within D_tw <= epsilon (Theorem 1 lifted to the MBR; see
-  // shard/partitioner.h). Ties at epsilon keep the shard. Exact for
-  // every MethodKind — the predicate is a property of the answer set.
-  std::vector<size_t> active;
-  active.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (bounds_[s].valid &&
-        bounds_[s].mbr.MinDistLinf(feature_point) <= epsilon) {
-      active.push_back(s);
-    } else {
-      shard_skipped_[s].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  skipped_total_->Increment(shards_.size() - active.size());
-  subqueries_total_->Increment(active.size());
-  fanout_hist_->Observe(static_cast<double>(active.size()));
-
+  FanOut fan_out(pool_, trace);
+  size_t skipped = 0;
+  FanOutHooks hooks = BeginFanOut(&skipped);
   const uint64_t trace_id = trace != nullptr ? trace->trace_id() : 0;
-  std::vector<SearchResult> partials(active.size());
-  {
-    ScopedSpan span(trace, "scatter_gather");
-    TraceCounter(trace, "shard_fanout", static_cast<double>(active.size()));
-    TraceCounter(trace, "shards_skipped",
-                 static_cast<double>(shards_.size() - active.size()));
-    TraceCounter(trace, "partitioner",
-                 static_cast<double>(options_.partitioner));
-    MarkSkippedShards(trace, active);
-
-    // Cross-thread tracing: the Trace object itself is single-writer, so
-    // each sub-task records into its own child Trace built from the
-    // scatter_gather span's context (same trace_id, same clock zero) and
-    // the children are stitched back after the barrier, in shard order —
-    // the stitched shape is deterministic however the pool interleaves.
-    std::vector<Trace> subs;
-    if (trace != nullptr) {
-      subs.assign(active.size(),
-                  Trace(trace->ContextForSpan(span.index())));
-    }
-    ThreadCpuTimer fanout_cpu;
-    ScatterGather(pool_).Run(active.size(), [&](size_t i) {
-      const size_t s = active[i];
-      DtwScratch scratch;
-      Trace* sub = trace != nullptr ? &subs[i] : nullptr;
-      size_t shard_span = 0;
-      if (sub != nullptr) {
-        sub->SetThreadTag(
-            static_cast<int32_t>(s),
-            static_cast<uint32_t>(ThreadPool::current_worker_index() + 1));
-        shard_span = sub->BeginSpan("shard");
-        sub->AddCounter("shard_index", static_cast<double>(s));
-      }
-      partials[i] =
-          shards_[s]->SearchWith(kind, query, epsilon, sub, &scratch);
-      if (sub != nullptr) {
-        sub->AddCounter("candidates",
-                        static_cast<double>(partials[i].num_candidates));
-        sub->AddCounter("matches",
-                        static_cast<double>(partials[i].matches.size()));
-        sub->AddCounter("index_nodes",
-                        static_cast<double>(partials[i].cost.index_nodes));
-        sub->AddCounter("dtw_evals",
-                        static_cast<double>(partials[i].cost.dtw_evals));
-        sub->EndSpan(shard_span);
-      }
-      shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
-      RecordShardFlight(s, MethodKindName(kind), epsilon, query.size(),
-                        partials[i], trace_id);
-    });
-    fanout_caller_cpu_ms = fanout_cpu.ElapsedMillis();
-    if (trace != nullptr) {
-      for (const Trace& sub : subs) {
-        trace->Adopt(span.index(), sub);
-      }
-    }
-  }
-
-  SearchResult result;
-  for (size_t i = 0; i < active.size(); ++i) {
-    const SearchResult& partial = partials[i];
-    result.num_candidates += partial.num_candidates;
-    for (const SequenceId local : partial.matches) {
-      result.matches.push_back(ToGlobalId(active[i], local));
-    }
-    result.distances.insert(result.distances.end(),
-                            partial.distances.begin(),
-                            partial.distances.end());
-    result.cost.MergeParallel(partial.cost);
-  }
-  // Canonical answer order: ascending global id, independent of shard
-  // count and completion order.
-  CanonicalizeMatchOrder(&result);
-  // Resource counters stay as MergeParallel left them (work summed);
-  // wall time is the measured end-to-end latency of the sharded query.
-  result.cost.wall_ms = timer.ElapsedMillis();
-  // This layer's own CPU (pruning, stitching, merge, sort), on top of
-  // the per-shard CPU MergeParallel already summed.
-  result.cost.cpu_ms +=
-      std::max(0.0, cpu_timer.ElapsedMillis() - fanout_caller_cpu_ms);
+  hooks.on_visit = [&](size_t s, const SearchResult* base) {
+    shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
+    RecordShardFlight(s, MethodKindName(kind), epsilon, query.size(), *base,
+                      trace_id);
+  };
+  SearchResult result = fan_out.Range(shards_, kind, query, epsilon, hooks);
+  FinishFanOut(skipped);
   return result;
 }
 
@@ -248,125 +114,17 @@ KnnResult ShardedEngine::SearchKnnSeeded(const Sequence& query, size_t k,
 KnnResult ShardedEngine::SearchKnnImpl(const Sequence& query, size_t k,
                                        double seed_bound,
                                        Trace* trace) const {
-  WallTimer timer;
-  // Same caller-CPU accounting as SearchWith: fan-out CPU is in the
-  // partials, so only this layer's own share is added at the end.
-  ThreadCpuTimer cpu_timer;
-  double fanout_caller_cpu_ms = 0.0;
-  logical_queries_.fetch_add(1, std::memory_order_relaxed);
-  queries_total_->Increment();
-
-  // No epsilon to prune against up front — only empty shards are skipped.
-  // The SharedKnnBound provides the dynamic equivalent: as soon as any
-  // shard proves a k-th distance, the others prune against it mid-flight.
-  std::vector<size_t> active;
-  active.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (bounds_[s].valid) {
-      active.push_back(s);
-    } else {
-      shard_skipped_[s].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  skipped_total_->Increment(shards_.size() - active.size());
-  subqueries_total_->Increment(active.size());
-  fanout_hist_->Observe(static_cast<double>(active.size()));
-
-  SharedKnnBound shared_bound;
+  FanOut fan_out(pool_, trace);
+  size_t skipped = 0;
+  const FanOutHooks hooks = BeginFanOut(&skipped);
   // A cache-provided seed is a valid upper bound on the global k-th
   // distance; pruning is strictly-above, so seeding preserves answers.
-  shared_bound.Tighten(seed_bound);
-  std::vector<KnnResult> partials(active.size());
-  {
-    ScopedSpan span(trace, "scatter_gather");
-    TraceCounter(trace, "shard_fanout", static_cast<double>(active.size()));
-    TraceCounter(trace, "partitioner",
-                 static_cast<double>(options_.partitioner));
-    MarkSkippedShards(trace, active);
-
-    // Same stitching discipline as SearchWith: one child Trace per
-    // sub-query, adopted in shard order after the barrier.
-    std::vector<Trace> subs;
-    if (trace != nullptr) {
-      subs.assign(active.size(),
-                  Trace(trace->ContextForSpan(span.index())));
-    }
-    ThreadCpuTimer fanout_cpu;
-    ScatterGather(pool_).Run(active.size(), [&](size_t i) {
-      const size_t s = active[i];
-      Trace* sub = trace != nullptr ? &subs[i] : nullptr;
-      size_t shard_span = 0;
-      if (sub != nullptr) {
-        sub->SetThreadTag(
-            static_cast<int32_t>(s),
-            static_cast<uint32_t>(ThreadPool::current_worker_index() + 1));
-        shard_span = sub->BeginSpan("shard");
-        sub->AddCounter("shard_index", static_cast<double>(s));
-      }
-      partials[i] =
-          shards_[s]->SearchKnnBounded(query, k, sub, &shared_bound);
-      if (sub != nullptr) {
-        sub->AddCounter("neighbors",
-                        static_cast<double>(partials[i].neighbors.size()));
-        sub->AddCounter("refined",
-                        static_cast<double>(partials[i].num_refined));
-        sub->EndSpan(shard_span);
-      }
-      shard_queries_[s].fetch_add(1, std::memory_order_relaxed);
-    });
-    fanout_caller_cpu_ms = fanout_cpu.ElapsedMillis();
-    if (trace != nullptr) {
-      for (const Trace& sub : subs) {
-        trace->Adopt(span.index(), sub);
-      }
-    }
-  }
-
-  // Merge: every shard's survivors, remapped to global ids, in the
-  // canonical (distance, id) order, truncated to k. Per-shard local
-  // lists may vary with bound-propagation timing, but only by members
-  // the global top-k provably excludes, so the merged prefix is
-  // deterministic (see docs/SHARDING.md).
-  KnnResult result;
-  std::vector<KnnMatch> merged;
-  for (size_t i = 0; i < active.size(); ++i) {
-    result.num_refined += partials[i].num_refined;
-    result.cost.MergeParallel(partials[i].cost);
-    for (KnnMatch match : partials[i].neighbors) {
-      match.id = ToGlobalId(active[i], match.id);
-      merged.push_back(match);
-    }
-  }
-  std::sort(merged.begin(), merged.end(), KnnMatchOrder);
-  if (merged.size() > k) {
-    merged.resize(k);
-  }
-  result.neighbors = std::move(merged);
-  result.cost.wall_ms = timer.ElapsedMillis();
-  result.cost.cpu_ms +=
-      std::max(0.0, cpu_timer.ElapsedMillis() - fanout_caller_cpu_ms);
+  SharedKnnBound bound;
+  bound.Tighten(seed_bound);
+  KnnResult result =
+      fan_out.Knn(shards_, query, k, &bound, KnnResult(), hooks);
+  FinishFanOut(skipped);
   return result;
-}
-
-void ShardedEngine::MarkSkippedShards(
-    Trace* trace, const std::vector<size_t>& active) const {
-  if (trace == nullptr || active.size() == shards_.size()) {
-    return;
-  }
-  // `active` is sorted ascending (built by one forward scan), so one
-  // cursor finds the gaps.
-  size_t cursor = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (cursor < active.size() && active[cursor] == s) {
-      ++cursor;
-      continue;
-    }
-    trace->SetThreadTag(static_cast<int32_t>(s), 0);
-    const size_t marker = trace->BeginSpan("shard_skipped");
-    trace->AddCounter("shard_index", static_cast<double>(s));
-    trace->EndSpan(marker);
-  }
-  trace->SetThreadTag(-1, 0);
 }
 
 void ShardedEngine::RecordShardFlight(size_t shard_index, const char* method,
@@ -398,68 +156,24 @@ void ShardedEngine::RecordShardFlight(size_t shard_index, const char* method,
 }
 
 Status ShardedEngine::Save(const std::string& dir) const {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::IoError("cannot create directory " + dir + ": " +
-                           ec.message());
-  }
   ShardManifest manifest;
   manifest.partitioner = options_.partitioner;
   manifest.page_size_bytes = options_.engine.page_size_bytes;
   manifest.assignment.num_shards = shards_.size();
   manifest.assignment.shard_of = shard_of_;
-  WARPINDEX_RETURN_IF_ERROR(
-      SaveShardManifest(dir + "/manifest.wism", manifest));
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    WARPINDEX_RETURN_IF_ERROR(shards_[s]->Save(dir + "/" + ShardSubdir(s)));
-  }
-  return Status::Ok();
+  return SaveShardDirectory(dir, manifest, shards_);
 }
 
 Status ShardedEngine::Open(const std::string& dir,
                            ShardedEngineOptions options,
                            std::unique_ptr<ShardedEngine>* out) {
   ShardManifest manifest;
+  std::vector<BaseShard> shards;
   WARPINDEX_RETURN_IF_ERROR(
-      LoadShardManifest(dir + "/manifest.wism", &manifest));
-  if (manifest.assignment.num_shards != options.num_shards) {
-    return Status::InvalidArgument(
-        "shard count mismatch: saved " +
-        std::to_string(manifest.assignment.num_shards) + ", requested " +
-        std::to_string(options.num_shards));
-  }
-  if (manifest.partitioner != options.partitioner) {
-    return Status::InvalidArgument(
-        std::string("partitioner mismatch: saved ") +
-        PartitionerKindName(manifest.partitioner) + ", requested " +
-        PartitionerKindName(options.partitioner));
-  }
-  if (manifest.page_size_bytes != options.engine.page_size_bytes) {
-    return Status::InvalidArgument(
-        "page size mismatch between saved shards and EngineOptions");
-  }
-  std::vector<std::unique_ptr<Engine>> shards;
-  shards.reserve(options.num_shards);
-  for (size_t s = 0; s < options.num_shards; ++s) {
-    std::unique_ptr<Engine> shard;
-    WARPINDEX_RETURN_IF_ERROR(
-        Engine::Open(dir + "/" + ShardSubdir(s), options.engine, &shard));
-    shards.push_back(std::move(shard));
-  }
-  auto engine = std::unique_ptr<ShardedEngine>(new ShardedEngine(
-      std::move(shards), std::move(options), std::move(manifest.assignment)));
-  // The manifest's assignment and the shard directories travel
-  // separately; make sure they still describe the same database.
-  for (size_t s = 0; s < engine->shards_.size(); ++s) {
-    if (engine->shards_[s]->dataset().size() !=
-        engine->global_of_[s].size()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(s) +
-          " holds a different sequence count than the manifest assigns");
-    }
-  }
-  *out = std::move(engine);
+      OpenShardDirectory(dir, options.num_shards, options.partitioner,
+                         options.engine, &manifest, &shards));
+  out->reset(new ShardedEngine(std::move(shards), std::move(options),
+                               std::move(manifest.assignment)));
   return Status::Ok();
 }
 
@@ -474,8 +188,8 @@ ShardedEngine::Health ShardedEngine::TakeHealthSnapshot() const {
   for (size_t s = 0; s < shards_.size(); ++s) {
     ShardStatus& status = health.shards[s];
     status.shard_index = s;
-    status.health = shards_[s]->TakeHealthSnapshot();
-    status.bounds = bounds_[s];
+    status.health = shards_[s].engine->TakeHealthSnapshot();
+    status.bounds = shards_[s].bounds;
     status.queries = shard_queries_[s].load(std::memory_order_relaxed);
     status.skipped = shard_skipped_[s].load(std::memory_order_relaxed);
     health.subqueries_total += status.queries;

@@ -5,31 +5,15 @@
 // pool, cascade planner — is per-shard, so each index stays N/K small, K
 // shards answer one query in parallel on the serving pool, and each
 // shard's CascadePlanner learns the cost model of ITS data rather than a
-// global average. Answers are bit-identical to a
-// single Engine over the same dataset:
-//
-//   * Range queries run TW-Sim-Search (or any MethodKind) per shard and
-//     take the union, remapped to global ids and sorted ascending — the
-//     canonical order a single engine's answer is compared in. Shards
-//     whose feature-space MBR is strictly farther than epsilon from the
-//     query's feature point (L_inf MINDIST) are skipped without being
-//     touched; exact by the Theorem 1 argument lifted to a shard's MBR
-//     (see shard/partitioner.h). With the range partitioner, clustered
-//     data makes these skips routine.
-//
-//   * kNN runs the filter-and-refine search per shard with a shared,
-//     monotonically shrinking SharedKnnBound: as soon as any shard has
-//     proven a k-th distance, every other shard's refine loop abandons
-//     candidates beyond it mid-flight. The per-shard top-k lists are
-//     then merged by (distance, id) and truncated to k — identical to
-//     the single-engine answer because pruning is strictly-greater-than
-//     and ties at the k-th distance resolve by id everywhere.
-//
-// Cost semantics: per-shard SearchCosts are folded with MergeParallel —
-// page reads, DTW evals/cells, node visits, and per-stage attribution
-// are summed (work actually done), wall time is NOT (concurrent shards
-// overlap); the reported wall_ms is the measured end-to-end time of the
-// sharded query, which is the critical path plus fan-out/merge overhead.
+// global average. Answers are bit-identical to a single Engine over the
+// same dataset: range queries take the union of the unpruned shards'
+// answers in ascending global id order, kNN merges per-shard top lists
+// by (distance, id) under one shared shrinking bound. The fan-out,
+// feature-MBR shard pruning, trace stitching, cost folding and merge are
+// the shared core in shard/fan_out.h; this class owns the partition
+// (one BaseShard per shard, the same record IngestEngine publishes),
+// its persistence, and the warpindex_shard_* metrics and per-shard
+// flight records.
 //
 // Threading: queries fan out over a borrowed ThreadPool (AttachPool) —
 // typically the QueryExecutor's own pool, shared safely because the
@@ -56,9 +40,11 @@
 
 #include "core/engine.h"
 #include "core/engine_like.h"
+#include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
+#include "shard/fan_out.h"
 #include "shard/partitioner.h"
-#include "shard/scatter_gather.h"
+#include "shard/shard_view.h"
 
 namespace warpindex {
 
@@ -105,16 +91,10 @@ class ShardedEngine : public EngineLike {
     return SearchWith(MethodKind::kTwSimSearch, query, epsilon, trace);
   }
 
-  // Scatter-gather over the non-prunable shards; matches are global ids
-  // sorted ascending. `scratch` is accepted for interface compatibility
-  // but unused — each per-shard task keeps its own scratch (sub-queries
-  // run on different threads). With a trace attached, the caller's trace
-  // gets one scatter_gather span (fanout/skip/partitioner counters) and
-  // every sub-query records into its own child Trace — built from
-  // ContextForSpan, tagged with (shard, pool worker) — which is stitched
-  // back under the scatter_gather span after the gather barrier, in
-  // shard order, so one query yields ONE tree holding every per-shard
-  // subtree. Pruned shards leave zero-duration "shard_skipped" markers.
+  // Scatter-gather over the non-prunable shards (shard/fan_out.h);
+  // matches are global ids sorted ascending. `scratch` is accepted for
+  // interface compatibility but unused — each per-shard task keeps its
+  // own scratch (sub-queries run on different threads).
   SearchResult SearchWith(MethodKind kind, const Sequence& query,
                           double epsilon, Trace* trace = nullptr,
                           DtwScratch* scratch = nullptr) const override;
@@ -130,23 +110,23 @@ class ShardedEngine : public EngineLike {
                             Trace* trace = nullptr) const override;
 
   MetricsRegistry& metrics() const override {
-    return shards_.front()->metrics();
+    return shards_.front().engine->metrics();
   }
   DtwOptions dtw_options() const override {
-    return shards_.front()->dtw_options();
+    return shards_.front().engine->dtw_options();
   }
 
   double ElapsedMillis(const SearchCost& cost) const override {
-    return shards_.front()->ElapsedMillis(cost);
+    return shards_.front().engine->ElapsedMillis(cost);
   }
 
   // ---- Topology.
 
   size_t num_shards() const { return shards_.size(); }
   PartitionerKind partitioner() const { return options_.partitioner; }
-  const Engine& shard(size_t index) const { return *shards_[index]; }
+  const Engine& shard(size_t index) const { return *shards_[index].engine; }
   const ShardFeatureBounds& shard_bounds(size_t index) const {
-    return bounds_[index];
+    return shards_[index].bounds;
   }
 
   // Total sequences across shards (including tombstones).
@@ -155,7 +135,7 @@ class ShardedEngine : public EngineLike {
 
   // Global id of shard-local sequence `local` of shard `shard_index`.
   SequenceId ToGlobalId(size_t shard_index, SequenceId local) const {
-    return global_of_[shard_index][static_cast<size_t>(local)];
+    return (*shards_[shard_index].global_of)[static_cast<size_t>(local)];
   }
   // (shard, local id) of a global id. For an id a v2 manifest marks
   // dropped (deleted + compacted; see shard/shard_io.h) the local id is
@@ -193,39 +173,33 @@ class ShardedEngine : public EngineLike {
   Health TakeHealthSnapshot() const;
 
  private:
-  // Open() path: adopts already-restored shards.
-  ShardedEngine(std::vector<std::unique_ptr<Engine>> shards,
-                ShardedEngineOptions options, ShardAssignment assignment);
+  ShardedEngine(std::vector<BaseShard> shards, ShardedEngineOptions options,
+                ShardAssignment assignment);
+
+  // Id maps and metric wiring, after shards_ is set.
+  void Init(ShardAssignment assignment);
 
   // Shared body of SearchKnn / SearchKnnSeeded; `seed_bound` pre-
   // tightens the cross-shard bound (kInfiniteDistance = no seed).
   KnnResult SearchKnnImpl(const Sequence& query, size_t k,
                           double seed_bound, Trace* trace) const;
 
-  void BuildFromDataset(Dataset dataset, ShardAssignment assignment);
-  void BuildIdMaps(ShardAssignment assignment);
-  void InitWiring();
-  void ComputeBoundsFromShards();
-  void RegisterMetrics();
+  // Counts one logical query and returns hooks that count its per-shard
+  // visits and skips (`skipped` = this query's skips); FinishFanOut then
+  // records the query's fan-out totals.
+  FanOutHooks BeginFanOut(size_t* skipped) const;
+  void FinishFanOut(size_t skipped) const;
   void RecordShardFlight(size_t shard_index, const char* method,
                          double epsilon, size_t query_length,
                          const SearchResult& result,
                          uint64_t trace_id) const;
 
-  // Appends a zero-duration "shard_skipped" marker span (tagged with the
-  // shard) for every shard not in `active`, under the currently open
-  // span. No-op without a trace.
-  void MarkSkippedShards(Trace* trace,
-                         const std::vector<size_t>& active) const;
-
   ShardedEngineOptions options_;
-  std::vector<std::unique_ptr<Engine>> shards_;
-  // global id -> shard / local id, and shard -> local -> global id.
+  std::vector<BaseShard> shards_;
+  // global id -> shard / local id (shard -> local -> global lives in
+  // each BaseShard's global_of).
   std::vector<uint32_t> shard_of_;
   std::vector<SequenceId> local_of_;
-  std::vector<std::vector<SequenceId>> global_of_;
-  // Feature-space MBR per shard over live sequences (pruning filter).
-  std::vector<ShardFeatureBounds> bounds_;
   ThreadPool* pool_ = nullptr;
 
   // Per-instance serving stats for /statusz (relaxed; dashboards only).

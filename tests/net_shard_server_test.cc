@@ -4,19 +4,23 @@
 // ShardedEngine computes, RANGE answers are remapped/merged/sorted
 // exactly, KNN honors the seed bound without losing ties — plus the
 // failure paths: unserved shards, malformed requests, and drain
-// answering UNAVAILABLE.
+// answering UNAVAILABLE. Also the Router's stitching of a server's spans
+// into the caller's trace.
 
 #include "net/shard_server.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
+#include "net/router.h"
 #include "net/serialize.h"
 #include "net/wire_client.h"
 #include "sequence/query_workload.h"
@@ -333,6 +337,42 @@ TEST_F(ShardServerTest, TracedRangeShipsSpans) {
     if (span.name == "shard") ++shard_spans;
   }
   EXPECT_EQ(shard_spans, kNumShards);
+}
+
+// A trace opened well before the router runs: net_group spans must sit
+// on the trace's clock, inside their scatter_gather parent, not at
+// offsets from the router call's own start.
+TEST_F(ShardServerTest, RouterGroupSpansStartInsideTheirParent) {
+  auto server = StartServer({0, 1, 2});
+  RouterOptions options;
+  options.enable_hedging = false;
+  options.groups = {{RouterEndpoint{"127.0.0.1", server->port()}}};
+  std::unique_ptr<Router> router;
+  ASSERT_TRUE(Router::Create(std::move(options), &router).ok());
+
+  Trace trace;
+  {
+    ScopedSpan query_span(&trace, "query");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    SearchResult result;
+    ASSERT_TRUE(router
+                    ->RouteRange(MethodKind::kTwSimSearch,
+                                 sharded_->shard(0).dataset()[0], 0.2,
+                                 &trace, &result)
+                    .ok());
+  }
+  size_t groups = 0;
+  for (const TraceSpan& span : trace.spans()) {
+    if (span.name != "net_group") {
+      continue;
+    }
+    ++groups;
+    ASSERT_GE(span.parent, 0);
+    const TraceSpan& parent = trace.spans()[static_cast<size_t>(span.parent)];
+    EXPECT_EQ(parent.name, "scatter_gather");
+    EXPECT_GE(span.start_ms, parent.start_ms);
+  }
+  EXPECT_EQ(groups, 1u);
 }
 
 TEST_F(ShardServerTest, ServedAccessorAndDrain) {

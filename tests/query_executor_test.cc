@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
+#include <utility>
 #include <vector>
 
+#include "ingest/ingest_engine.h"
 #include "sequence/query_workload.h"
 #include "sequence/random_walk_generator.h"
+#include "shard/sharded_engine.h"
 
 namespace warpindex {
 namespace {
@@ -123,31 +127,52 @@ TEST(QueryExecutorTest, SubmitReturnsFutureWithResult) {
             result.matches.end());
 }
 
-TEST(QueryExecutorTest, SearchParallelMatchesSequentialSearch) {
-  const Engine engine(TestDataset(), EngineOptions{});
-  // Small chunks force many chunks, so the fan-out path really runs.
-  QueryExecutorOptions options;
-  options.num_threads = 4;
-  options.postfilter_chunk = 2;
-  QueryExecutor executor(&engine, options);
-  for (const Sequence& q : TestQueries(engine, 8)) {
-    const SearchResult expected = engine.Search(q, 0.4);
-    const SearchResult parallel = executor.SearchParallel(q, 0.4);
-    EXPECT_TRUE(AnswerKey(parallel) == AnswerKey(expected));
+std::vector<SequenceId> Sorted(std::vector<SequenceId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// A partitioned engine borrowing the pool of a 1-worker executor, queried
+// from inside that pool's only task: no worker is idle, so the shard
+// fan-out must complete on the calling thread alone. Range and kNN
+// answers must equal a single Engine's.
+void ExpectInsidePoolTaskMatchesSingleEngine(const EngineLike& partitioned,
+                                             QueryExecutor& executor) {
+  const Engine single(TestDataset(), EngineOptions{});
+  for (const Sequence& q : TestQueries(single, 4)) {
+    std::future<std::pair<SearchResult, KnnResult>> f =
+        executor.pool().Submit([&]() {
+          return std::make_pair(
+              partitioned.SearchWith(MethodKind::kTwSimSearch, q, 0.4),
+              executor.SearchKnn(q, 3));
+        });
+    const auto [range, knn] = f.get();
+    EXPECT_EQ(range.matches, Sorted(single.Search(q, 0.4).matches));
+    EXPECT_EQ(knn.neighbors, single.SearchKnn(q, 3).neighbors);
   }
 }
 
-TEST(QueryExecutorTest, SearchParallelFromInsidePoolTaskDoesNotDeadlock) {
-  const Engine engine(TestDataset(), EngineOptions{});
+TEST(QueryExecutorTest, ShardedQueryInsidePoolTaskMatchesSingleEngine) {
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 3;
+  ShardedEngine sharded(TestDataset(), sharded_options);
   QueryExecutorOptions options;
-  options.num_threads = 1;  // no idle workers to lean on
-  options.postfilter_chunk = 1;
-  QueryExecutor executor(&engine, options);
-  const Sequence q = engine.dataset()[5];
-  std::future<SearchResult> f = executor.pool().Submit(
-      [&executor, &q]() { return executor.SearchParallel(q, 0.4); });
-  const SearchResult parallel = f.get();
-  EXPECT_TRUE(AnswerKey(parallel) == AnswerKey(engine.Search(q, 0.4)));
+  options.num_threads = 1;
+  QueryExecutor executor(&sharded, options);
+  sharded.AttachPool(&executor.pool());
+  ExpectInsidePoolTaskMatchesSingleEngine(sharded, executor);
+}
+
+TEST(QueryExecutorTest, IngestQueryInsidePoolTaskMatchesSingleEngine) {
+  IngestOptions ingest_options;
+  ingest_options.num_shards = 3;
+  ingest_options.start_compactor = false;
+  IngestEngine ingest(TestDataset(), ingest_options);
+  QueryExecutorOptions options;
+  options.num_threads = 1;
+  QueryExecutor executor(&ingest, options);
+  ingest.AttachPool(&executor.pool());
+  ExpectInsidePoolTaskMatchesSingleEngine(ingest, executor);
 }
 
 TEST(QueryExecutorTest, BatchCollectsPerQueryTraces) {

@@ -329,25 +329,6 @@ TEST(ShardedEngineTest, ExecutorBatchOverShardedEngineMatchesSequential) {
   }
 }
 
-TEST(ShardedEngineTest, SearchParallelDelegatesToScatterGather) {
-  const Engine single(WalkDataset(), EngineOptions{});
-  ShardedEngine sharded(WalkDataset(),
-                        ShardOptions(3, PartitionerKind::kRange));
-  QueryExecutorOptions options;
-  options.num_threads = 4;
-  QueryExecutor executor(&sharded, options);
-  sharded.AttachPool(&executor.pool());
-  const Sequence q = PerturbSequence(single.dataset()[7], 21);
-  for (const bool cascade : {false, true}) {
-    const SearchResult expected = single.SearchWith(
-        cascade ? MethodKind::kTwSimSearchCascade : MethodKind::kTwSimSearch,
-        q, 0.4);
-    const SearchResult got =
-        executor.SearchParallel(q, 0.4, nullptr, cascade);
-    EXPECT_EQ(got.matches, Sorted(expected.matches));
-  }
-}
-
 TEST(ShardedEngineTest, FlightRecordsCarryShardIds) {
   FlightRecorder recorder;
   ShardedEngineOptions options = ShardOptions(3, PartitionerKind::kHash);
