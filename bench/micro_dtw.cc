@@ -66,6 +66,45 @@ void BM_DtwEarlyAbandonDistantPair(benchmark::State& state) {
 }
 BENCHMARK(BM_DtwEarlyAbandonDistantPair)->Arg(64)->Arg(256)->Arg(1024);
 
+// The post-filter's case: thresholded L_inf DTW on length-128 random
+// walks at the end-to-end benchmark's tolerances ε ∈ {0.1, 0.125, 0.15}
+// (Arg(0), in thousandths). The pair is a walk and a copy with ±0.05
+// noise, which matches (Arg(1) = 1), or the same copy with a +0.5 bump
+// over positions [60, 68), which does not (Arg(1) = 0) — a near miss the
+// DP follows halfway before abandoning. The pruned kernel scans only
+// cells still <= ε; `cells` reports how many per call.
+void BM_DtwThresholdedWalk128(benchmark::State& state) {
+  const double epsilon = static_cast<double>(state.range(0)) / 1000.0;
+  const bool matching = state.range(1) != 0;
+  const Sequence a = MakeWalk(128, 1);
+  Prng prng(5);
+  Sequence b;
+  b.Reserve(a.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double bump = !matching && i >= 60 && i < 68 ? 0.5 : 0.0;
+    b.Append(a[i] + bump + prng.UniformDouble(-0.05, 0.05));
+  }
+  const Dtw dtw(DtwOptions::Linf());
+  DtwScratch scratch;
+  const DtwResult probe = dtw.DistanceWithThreshold(a, b, epsilon, &scratch);
+  if ((probe.distance <= epsilon) != matching) {
+    state.SkipWithError("pair does not match as labelled");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dtw.DistanceWithThreshold(a, b, epsilon, &scratch).distance);
+  }
+  state.counters["cells"] = static_cast<double>(probe.cells);
+}
+BENCHMARK(BM_DtwThresholdedWalk128)
+    ->Args({100, 1})
+    ->Args({100, 0})
+    ->Args({125, 1})
+    ->Args({125, 0})
+    ->Args({150, 1})
+    ->Args({150, 0});
+
 void BM_DtwBanded(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));
   const Sequence a = MakeWalk(len, 1);

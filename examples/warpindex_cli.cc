@@ -19,8 +19,8 @@
 //
 //   # batch-serve a query workload over a thread pool:
 //   $ ./warpindex_cli serve --dataset stock --threads 4 --eps 4
-//   $ ./warpindex_cli serve --data my_series.csv --queries patterns.csv \
-//         --threads 8 --eps 0.5
+//   $ ./warpindex_cli serve --data my_series.csv --queries patterns.csv
+//         --threads 8 --eps 0.5       (one command line)
 //
 //   # serve a writable ingest engine: stream inserts/deletes through the
 //   # pool while the batches run, verify against a from-scratch engine:
@@ -37,8 +37,8 @@
 //   $ ./warpindex_cli save --out /tmp/db --dataset stock --shards 2
 //   $ ./warpindex_cli shard-serve --db /tmp/db --shards 0 --port 18091 &
 //   $ ./warpindex_cli shard-serve --db /tmp/db --shards 1 --port 18092 &
-//   $ ./warpindex_cli route --groups '127.0.0.1:18091;127.0.0.1:18092' \
-//         --port 18090 --http_port 18080 &
+//   $ ./warpindex_cli route --groups '127.0.0.1:18091;127.0.0.1:18092'
+//         --port 18090 --http_port 18080 &        (one command line)
 //   $ ./warpindex_cli net-query --port 18090 --eps 4 --query_id 17 --k 3
 
 #include <algorithm>

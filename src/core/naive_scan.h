@@ -3,7 +3,8 @@
 //
 // Per the paper's §5.1 note, the implementation is "slightly modified" to
 // use the L_inf time-warping distance, whose thresholded evaluation can
-// abandon a sequence as soon as a full DP row exceeds the tolerance.
+// abandon a sequence as soon as no cell of a DP row is within the
+// tolerance (see dtw/dtw.h).
 
 #ifndef WARPINDEX_CORE_NAIVE_SCAN_H_
 #define WARPINDEX_CORE_NAIVE_SCAN_H_

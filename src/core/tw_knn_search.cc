@@ -55,6 +55,7 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
   double refine_cpu_ms = 0.0;
   WallTimer per_item;
   ThreadCpuTimer per_item_cpu;
+  DtwScratch scratch;  // one pair of DP rows for every refinement
   RTree::Neighbor candidate;
   while (true) {
     per_item.Reset();
@@ -86,9 +87,9 @@ KnnResult TwKnnSearch::Search(const Sequence& query, size_t k, Trace* trace,
     if (threshold < kInfiniteDistance) {
       // Thresholded refinement: only distances at or below the cutoff
       // matter, so abandon above it (exact when d <= threshold).
-      d = dtw_.DistanceWithThreshold(s, query, threshold);
+      d = dtw_.DistanceWithThreshold(s, query, threshold, &scratch);
     } else {
-      d = dtw_.Distance(s, query);
+      d = dtw_.Distance(s, query, &scratch);
     }
     refine_ms += per_item.ElapsedMillis();
     refine_cpu_ms += per_item_cpu.ElapsedMillis();

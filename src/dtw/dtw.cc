@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace warpindex {
@@ -11,6 +12,150 @@ namespace {
 inline double Combine(double cost, double upstream, DtwCombiner combiner) {
   return combiner == DtwCombiner::kSum ? cost + upstream
                                        : std::max(cost, upstream);
+}
+
+// Combine and ElementCost with the model fixed at compile time, so the
+// pruned loop carries no per-cell branch on it.
+template <DtwCombiner kCombiner, StepCost kStep>
+inline double Relax(double a, double b, double best) {
+  return Combine(ElementCost(a, b, kStep), best, kCombiner);
+}
+
+// Continues row `si` rightwards from column `j` with the left predecessor
+// only: every column past the previous row's live interval has dead upper
+// and diagonal predecessors. `left` is the live value of column j - 1.
+// Stops at the first dead cell and returns the last live column. Row
+// slots are offset by one (column c lives at row[c + 1]).
+template <DtwCombiner kCombiner, StepCost kStep>
+size_t ExtendRight(double si, const double* q, size_t j, size_t j_hi,
+                   double threshold, double left, double* row,
+                   uint64_t* cells) {
+  for (; j <= j_hi; ++j) {
+    left = Relax<kCombiner, kStep>(si, q[j],
+                                   std::min(kInfiniteDistance, left));
+    row[j + 1] = left;
+    ++*cells;
+    if (left > threshold) {
+      return j - 1;
+    }
+  }
+  return j_hi;
+}
+
+// The pruned, thresholded rolling DP (PrunedDTW / EAPrunedDTW style). A
+// cell is dead iff its value is > threshold. [lo, hi] is the live column
+// interval of the previous row; row i scans
+//
+//   [max(j_lo, lo), min(hi + 1, j_hi)]  with all three predecessors
+//                                       (prev column hi + 1 is a sentinel
+//                                       ∞, prev column start - 1 and curr
+//                                       column start - 1 are dead);
+//   (hi + 1, j_hi]                      with the left predecessor only,
+//                                       stopping at the first dead cell;
+//
+// and abandons when a row has no live cell. Exact: costs are
+// non-negative and both combiners are monotone, so a cell that ends
+// <= threshold takes its min from a live predecessor and a dead one can
+// never set it; live cells get bit-identical values to the full DP.
+//
+// `prev` / `curr` hold m + 2 slots each: slot 0 is the ∞ column left of
+// column 0, slot m + 1 the sentinel past the last column. Nothing else is
+// initialised; every slot read was written earlier in the same call. The
+// left predecessor stays in a register, off the store-load path.
+template <DtwCombiner kCombiner, StepCost kStep>
+DtwResult PrunedRollingDp(const double* s, size_t n, const double* q,
+                          size_t m, size_t band, double threshold,
+                          double* prev, double* curr) {
+  DtwResult result;
+  // Row 0: the base cell, then left predecessors only.
+  curr[0] = kInfiniteDistance;
+  const double base = Relax<kCombiner, kStep>(s[0], q[0], 0.0);
+  curr[1] = base;
+  result.cells = 1;
+  if (base > threshold) {
+    result.distance = kInfiniteDistance;
+    return result;
+  }
+  size_t lo = 0;
+  size_t hi =
+      ExtendRight<kCombiner, kStep>(s[0], q, 1, std::min(m - 1, band),
+                                    threshold, base, curr, &result.cells);
+
+  for (size_t i = 1; i < n; ++i) {
+    std::swap(prev, curr);
+    const size_t j_lo = i >= band ? i - band : 0;
+    const size_t j_hi = std::min(m - 1, i + band);
+    const size_t start = std::max(j_lo, lo);
+    const size_t end = std::min(hi + 1, j_hi);
+    if (start > end) {
+      result.distance = kInfiniteDistance;  // band left the live interval
+      return result;
+    }
+    prev[hi + 2] = kInfiniteDistance;  // previous row's column hi + 1
+    curr[start] = kInfiniteDistance;   // this row's column start - 1
+    const double si = s[i];
+    double left = kInfiniteDistance;
+    size_t row_lo = m;  // m = no live cell yet
+    size_t row_hi = 0;
+    for (size_t j = start; j <= end; ++j) {
+      // Same min order as DistanceWithPath: upper, diagonal, left.
+      double best = std::min(kInfiniteDistance, prev[j + 1]);
+      best = std::min(best, prev[j]);
+      best = std::min(best, left);
+      left = Relax<kCombiner, kStep>(si, q[j], best);
+      curr[j + 1] = left;
+      const bool live = !(left > threshold);
+      row_hi = live ? j : row_hi;
+      row_lo = live && row_lo == m ? j : row_lo;
+    }
+    result.cells += end - start + 1;
+    if (row_lo == m) {
+      result.distance = kInfiniteDistance;  // every path already exceeds
+      return result;
+    }
+    if (row_hi == end && end < j_hi) {
+      row_hi = ExtendRight<kCombiner, kStep>(si, q, end + 1, j_hi, threshold,
+                                             left, curr, &result.cells);
+    }
+    lo = row_lo;
+    hi = row_hi;
+  }
+  result.distance = hi == m - 1 ? curr[m] : kInfiniteDistance;
+  return result;
+}
+
+// The largest accumulated value whose sqrt is <= `epsilon`. epsilon^2
+// rounds, so sqrt(epsilon * epsilon) may land on either side of epsilon;
+// step to the exact boundary so a distance tying epsilon is kept and none
+// above it is. sqrt is correctly rounded and monotone, hence one or two
+// steps at most.
+double SquaredThreshold(double epsilon) {
+  double t = epsilon * epsilon;
+  if (!std::isfinite(t)) {
+    return t;
+  }
+  while (t > 0.0 && std::sqrt(t) > epsilon) {
+    t = std::nextafter(t, 0.0);
+  }
+  for (double up = std::nextafter(t, kInfiniteDistance);
+       std::sqrt(up) <= epsilon; up = std::nextafter(t, kInfiniteDistance)) {
+    t = up;
+  }
+  return t;
+}
+
+using RollingKernel = DtwResult (*)(const double*, size_t, const double*,
+                                    size_t, size_t, double, double*, double*);
+
+RollingKernel PickKernel(DtwCombiner combiner, StepCost step) {
+  if (combiner == DtwCombiner::kMax) {
+    return step == StepCost::kAbsolute
+               ? &PrunedRollingDp<DtwCombiner::kMax, StepCost::kAbsolute>
+               : &PrunedRollingDp<DtwCombiner::kMax, StepCost::kSquared>;
+  }
+  return step == StepCost::kAbsolute
+             ? &PrunedRollingDp<DtwCombiner::kSum, StepCost::kAbsolute>
+             : &PrunedRollingDp<DtwCombiner::kSum, StepCost::kSquared>;
 }
 
 }  // namespace
@@ -48,62 +193,24 @@ DtwResult Dtw::ComputeRolling(const Sequence& s_in, const Sequence& q_in,
   // Work in the accumulated domain; take_sqrt is applied on exit, so the
   // threshold must be squared-domain too.
   const double internal_threshold =
-      options_.take_sqrt ? threshold * threshold : threshold;
+      options_.take_sqrt ? SquaredThreshold(threshold) : threshold;
 
-  // With a scratch, assign() reuses the retained capacity; the local
-  // vectors stay empty and cost nothing.
+  // With a scratch, resize() reuses the retained capacity; the local
+  // vectors stay empty and cost nothing. The kernel initialises what it
+  // reads, so no row is ever filled.
   std::vector<double> local_prev;
   std::vector<double> local_curr;
   std::vector<double>& prev = scratch != nullptr ? scratch->prev_ : local_prev;
   std::vector<double>& curr = scratch != nullptr ? scratch->curr_ : local_curr;
-  prev.assign(m, kInfiniteDistance);
-  curr.assign(m, kInfiniteDistance);
+  prev.resize(m + 2);
+  curr.resize(m + 2);
 
-  for (size_t i = 0; i < n; ++i) {
-    const size_t j_lo = i >= band ? i - band : 0;
-    const size_t j_hi = std::min(m - 1, i + band);
-    double row_min = kInfiniteDistance;
-    std::fill(curr.begin(), curr.end(), kInfiniteDistance);
-    for (size_t j = j_lo; j <= j_hi; ++j) {
-      const double cost = ElementCost(s[i], q[j], options_.step);
-      ++result.cells;
-      if (i == 0 && j == 0) {
-        curr[j] = cost;  // base case, both combiners
-        row_min = std::min(row_min, curr[j]);
-        continue;
-      }
-      double best = kInfiniteDistance;
-      if (i > 0) {
-        best = std::min(best, prev[j]);                 // (i-1, j)
-        if (j > 0) best = std::min(best, prev[j - 1]);  // (i-1, j-1)
-      }
-      if (j > 0) {
-        best = std::min(best, curr[j - 1]);             // (i, j-1)
-      }
-      if (std::isinf(best)) {
-        continue;  // unreachable cell at a band edge
-      }
-      curr[j] = Combine(cost, best, options_.combiner);
-      row_min = std::min(row_min, curr[j]);
-    }
-    if (row_min > internal_threshold) {
-      // Every extension of every partial path already exceeds the
-      // tolerance; abandon (exact for non-negative costs).
-      result.distance = kInfiniteDistance;
-      return result;
-    }
-    std::swap(prev, curr);
+  result = PickKernel(options_.combiner, options_.step)(
+      s.data(), n, q.data(), m, band, internal_threshold, prev.data(),
+      curr.data());
+  if (options_.take_sqrt && result.distance != kInfiniteDistance) {
+    result.distance = std::sqrt(result.distance);
   }
-
-  double final_value = prev[m - 1];
-  if (final_value > internal_threshold) {
-    result.distance = kInfiniteDistance;
-    return result;
-  }
-  if (options_.take_sqrt) {
-    final_value = std::sqrt(final_value);
-  }
-  result.distance = final_value;
   return result;
 }
 

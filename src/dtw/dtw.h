@@ -4,15 +4,24 @@
 //   * pluggable base distance: sum-combined |.| or (.)^2 (L1 / L2) and the
 //     paper's max-combined |.| (L_inf, Definition 2);
 //   * O(min(|S|, |Q|)) rolling-array memory for distance-only queries;
-//   * thresholded early-abandoning evaluation: stops as soon as every cell
-//     of a DP row exceeds the tolerance — exact because step costs are
-//     non-negative and both combiners are monotone along path extension.
-//     This is the paper's stated CPU advantage of the L_inf model (§4.1);
+//   * a pruned, thresholded rolling DP: a cell is dead when its value is
+//     > the threshold, each row scans only the columns a live cell of the
+//     previous row can reach (three predecessors up to one past the last
+//     live column, then the left predecessor alone until the first dead
+//     cell), and the evaluation abandons when a row has no live cell.
+//     Exact because step costs are non-negative and both combiners are
+//     monotone along path extension: a dead predecessor never sets the
+//     min of a cell that ends within the threshold, so live cells keep
+//     bit-identical values. This is the paper's stated CPU advantage of
+//     the L_inf model (§4.1). The loop is compiled once per (combiner,
+//     step cost); Distance() (threshold ∞) computes every in-band cell;
 //   * optional Sakoe-Chiba band;
-//   * full-matrix evaluation with warping-path recovery.
+//   * full-matrix evaluation with warping-path recovery — the unpruned
+//     oracle the rolling DP is tested against.
 //
 // CPU cost accounting: every evaluation reports the number of DP cells
-// computed, which benches aggregate as the machine-independent CPU metric.
+// actually computed, which benches aggregate as the machine-independent
+// CPU metric.
 
 #ifndef WARPINDEX_DTW_DTW_H_
 #define WARPINDEX_DTW_DTW_H_
@@ -93,8 +102,8 @@ class Dtw {
                      DtwScratch* scratch = nullptr) const;
 
   // Thresholded decision procedure: returns the exact distance when
-  // D_tw(S, Q) <= epsilon, and kInfiniteDistance otherwise (possibly
-  // abandoning early). Never returns a finite value > epsilon.
+  // D_tw(S, Q) <= epsilon (a tie is kept), and kInfiniteDistance otherwise
+  // (possibly abandoning early). Never returns a finite value > epsilon.
   DtwResult DistanceWithThreshold(const Sequence& s, const Sequence& q,
                                   double epsilon,
                                   DtwScratch* scratch = nullptr) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "dtw/dtw.h"
@@ -11,24 +10,25 @@
 namespace warpindex {
 
 double LbImproved(const Sequence& s, const Sequence& q,
-                  const BandEnvelope& q_env, const DtwOptions& options) {
+                  const BandEnvelope& q_env, const DtwOptions& options,
+                  LbImprovedScratch* scratch) {
   assert(!s.empty() && !q.empty());
   const size_t radius =
       EffectiveSakoeChibaRadius(options, s.size(), q.size());
 
-  std::vector<double> h;
+  LbImprovedScratch local;
+  LbImprovedScratch& buf = scratch != nullptr ? *scratch : local;
   double part1;
   if (q_env.radius >= radius) {
-    part1 = internal::OneSidedKeogh(s, q_env, radius, options, &h);
+    part1 = internal::OneSidedKeogh(s, q_env, radius, options, &buf.h);
   } else {
     const BandEnvelope widened = ComputeBandEnvelope(q, radius);
-    part1 = internal::OneSidedKeogh(s, widened, radius, options, &h);
+    part1 = internal::OneSidedKeogh(s, widened, radius, options, &buf.h);
   }
 
-  const Sequence h_seq(std::move(h));
-  const BandEnvelope h_env = ComputeBandEnvelope(h_seq, radius);
+  internal::BuildBandEnvelope(buf.h.data(), buf.h.size(), radius, &buf.h_env);
   const double part2 =
-      internal::OneSidedKeogh(q, h_env, radius, options, nullptr);
+      internal::OneSidedKeogh(q, buf.h_env, radius, options, nullptr);
 
   const double acc = options.combiner == DtwCombiner::kSum
                          ? part1 + part2

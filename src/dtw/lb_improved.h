@@ -28,17 +28,30 @@
 #ifndef WARPINDEX_DTW_LB_IMPROVED_H_
 #define WARPINDEX_DTW_LB_IMPROVED_H_
 
+#include <vector>
+
 #include "dtw/base_distance.h"
 #include "dtw/lb_keogh.h"
 #include "sequence/sequence.h"
 
 namespace warpindex {
 
+// Reusable buffers for LbImproved: the projection h and its envelope.
+// Passing one through a query's candidates saves their allocations on
+// every evaluation after the first; results are bit-identical with and
+// without it. One per thread.
+struct LbImprovedScratch {
+  std::vector<double> h;
+  BandEnvelope h_env;
+};
+
 // Lower-bounds Dtw(options).Distance(s, q); always >= the LbKeogh of the
 // same arguments. `q_env` as for LbKeogh (recomputed internally when too
 // narrow for the pair). Same domain as Dtw::Distance (sqrt for L2).
+// `scratch` (optional) is reused instead of allocating.
 double LbImproved(const Sequence& s, const Sequence& q,
-                  const BandEnvelope& q_env, const DtwOptions& options);
+                  const BandEnvelope& q_env, const DtwOptions& options,
+                  LbImprovedScratch* scratch = nullptr);
 
 }  // namespace warpindex
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <deque>
+#include <vector>
 
 #include "dtw/dtw.h"
 
@@ -20,60 +20,70 @@ inline double DistToInterval(double v, double lo, double hi) {
 
 BandEnvelope ComputeBandEnvelope(const Sequence& s, size_t radius) {
   assert(!s.empty());
-  const size_t m = s.size();
+  BandEnvelope env;
+  internal::BuildBandEnvelope(s.data(), s.size(), radius, &env);
+  return env;
+}
+
+namespace internal {
+
+void BuildBandEnvelope(const double* s, size_t m, size_t radius,
+                       BandEnvelope* env) {
+  assert(m > 0);
   // Clamp the working radius: any radius >= m already yields full-width
   // windows at every position (and avoids j + radius overflow).
   const size_t r = std::min(radius, m);
+  env->radius = radius;
+  env->lower.resize(m);
+  env->upper.resize(m);
 
-  BandEnvelope env;
-  env.radius = radius;
-  env.lower.resize(m);
-  env.upper.resize(m);
-
-  // Monotonic deques over the advancing right window edge: max_idx keeps
-  // indices of strictly decreasing values, min_idx strictly increasing,
-  // so the window extreme is always at the front. Each index enters and
-  // leaves each deque at most once — O(m) total.
-  std::deque<size_t> max_idx;
-  std::deque<size_t> min_idx;
-  size_t next = 0;  // next position to admit into the deques
+  // Lemire's streaming min/max over the advancing right window edge:
+  // max_idx[max_head, max_tail) keeps indices of strictly decreasing
+  // values, min_idx[min_head, min_tail) strictly increasing, so the window
+  // extreme is always at the head. Each index is pushed at most once, so
+  // an m-slot array per queue serves as its deque without wrapping.
+  std::vector<size_t> max_idx(m);
+  std::vector<size_t> min_idx(m);
+  size_t max_head = 0;
+  size_t max_tail = 0;
+  size_t min_head = 0;
+  size_t min_tail = 0;
+  size_t next = 0;  // next position to admit into the queues
   for (size_t j = 0; j < m; ++j) {
     const size_t win_hi = std::min(m - 1, j + r);
     for (; next <= win_hi; ++next) {
-      while (!max_idx.empty() && s[max_idx.back()] <= s[next]) {
-        max_idx.pop_back();
+      const double v = s[next];
+      while (max_tail > max_head && s[max_idx[max_tail - 1]] <= v) {
+        --max_tail;
       }
-      max_idx.push_back(next);
-      while (!min_idx.empty() && s[min_idx.back()] >= s[next]) {
-        min_idx.pop_back();
+      max_idx[max_tail++] = next;
+      while (min_tail > min_head && s[min_idx[min_tail - 1]] >= v) {
+        --min_tail;
       }
-      min_idx.push_back(next);
+      min_idx[min_tail++] = next;
     }
     const size_t win_lo = j >= r ? j - r : 0;
-    while (max_idx.front() < win_lo) {
-      max_idx.pop_front();
+    while (max_idx[max_head] < win_lo) {
+      ++max_head;
     }
-    while (min_idx.front() < win_lo) {
-      min_idx.pop_front();
+    while (min_idx[min_head] < win_lo) {
+      ++min_head;
     }
-    env.upper[j] = s[max_idx.front()];
-    env.lower[j] = s[min_idx.front()];
+    env->upper[j] = s[max_idx[max_head]];
+    env->lower[j] = s[min_idx[min_head]];
   }
 
-  env.suffix_min.resize(m);
-  env.suffix_max.resize(m);
+  env->suffix_min.resize(m);
+  env->suffix_max.resize(m);
   double lo = s[m - 1];
   double hi = s[m - 1];
   for (size_t j = m; j-- > 0;) {
     lo = std::min(lo, s[j]);
     hi = std::max(hi, s[j]);
-    env.suffix_min[j] = lo;
-    env.suffix_max[j] = hi;
+    env->suffix_min[j] = lo;
+    env->suffix_max[j] = hi;
   }
-  return env;
 }
-
-namespace internal {
 
 double OneSidedKeogh(const Sequence& s, const BandEnvelope& env,
                      size_t effective_radius, const DtwOptions& options,

@@ -7,7 +7,8 @@
 //
 //   U_j = max Q[k],  L_j = min Q[k]   for k in [j - r, j + r] cap [0, |Q|)
 //
-// computed in O(|Q|) with streaming monotonic deques. Under the band
+// computed in O(|Q|) with Lemire's streaming min/max (two monotonic
+// index queues in preallocated arrays). Under the band
 // constraint every candidate element S[i] must align with some Q[j] with
 // |i - j| <= r, hence with a value inside [L_i, U_i]; the part of S
 // sticking out of the envelope is unavoidable warping cost:
@@ -76,7 +77,7 @@ struct BandEnvelope {
 };
 
 // Builds the envelope of `s` with Sakoe-Chiba radius `radius` in O(|s|)
-// (streaming monotonic deques). Requires a non-empty sequence.
+// (Lemire's streaming min/max). Requires a non-empty sequence.
 BandEnvelope ComputeBandEnvelope(const Sequence& s, size_t radius);
 
 // One-sided LB_Keogh: the cost forced onto the elements of `s` by the
@@ -89,6 +90,11 @@ double LbKeogh(const Sequence& s, const Sequence& q,
                const BandEnvelope& q_env, const DtwOptions& options);
 
 namespace internal {
+
+// ComputeBandEnvelope over s[0, m) into `env`, reusing the capacity of its
+// vectors. Requires m > 0.
+void BuildBandEnvelope(const double* s, size_t m, size_t radius,
+                       BandEnvelope* env);
 
 // Accumulated-domain (pre-sqrt) one-sided envelope bound with an explicit
 // effective radius; `h_out` (optional) receives the projection of `s`

@@ -117,13 +117,21 @@ class WireServer {
 
  private:
   struct Connection {
+    // The connection thread owns the socket: it reads its own copy of the
+    // descriptor and is the only side that closes it. Stop() only shuts it
+    // down to wake a blocked read. fd_mu orders the two, so Stop never
+    // shuts down a descriptor number the owner has already closed (and the
+    // process may have reused).
+    std::mutex fd_mu;
+    // Set once under conn_mu_ before the thread starts, then guarded by
+    // fd_mu; -1 once the owner has closed it.
     int fd = -1;
     std::thread thread;
     std::atomic<bool> done{false};
   };
 
   void AcceptLoop();
-  void ServeConnection(Connection* conn);
+  void ServeConnection(Connection* conn, int fd);
   // Dispatches one request frame; returns false when the connection
   // should close (transport failure on the response).
   bool DispatchFrame(int fd, const WireFrame& frame,

@@ -57,6 +57,9 @@ struct QueryArtifacts {
   bool have_band_env = false;
   BandEnvelope band_env;
 
+  // Reused by every candidate's LB_Improved second pass.
+  LbImprovedScratch lb_improved_scratch;
+
   const FeatureVector& Feature() {
     if (!have_feature) {
       feature = ExtractFeature(*query);
@@ -95,7 +98,8 @@ double StageBound(CascadeStage stage, const Sequence& s,
     case CascadeStage::kLbKeogh:
       return LbKeogh(s, *qa->query, qa->BandEnv(), qa->options);
     case CascadeStage::kLbImproved:
-      return LbImproved(s, *qa->query, qa->BandEnv(), qa->options);
+      return LbImproved(s, *qa->query, qa->BandEnv(), qa->options,
+                        &qa->lb_improved_scratch);
   }
   return 0.0;
 }

@@ -193,9 +193,11 @@ class RouterPropertyTest
 
 TEST_P(RouterPropertyTest, EveryMethodMatchesShardedEngineForEveryK) {
   for (const size_t num_shards : {1u, 2u, 4u}) {
+    std::string tag = "k";
+    tag += std::to_string(num_shards);
     Cluster cluster;
     ASSERT_TRUE(cluster
-                    .Build(TempName("k" + std::to_string(num_shards)),
+                    .Build(TempName(tag),
                            /*seed=*/29 + num_shards, num_shards,
                            GetParam(), OneShardPerGroup(num_shards),
                            /*replicas=*/1, QuietOptions())
