@@ -1,19 +1,19 @@
 // Ablation A10: the lower-bound filter cascade (src/plan/).
 //
 // Sweeps fixed stage subsets of the cascade — none (the paper's
-// Algorithm 1), each envelope bound alone, and the full pipeline — over a
-// banded random-walk workload, reporting per-stage pruning counters and
-// the headline metric: exact-DTW evaluations started per query. Every
-// plan's answers are cross-validated against plain TW-Sim-Search at the
-// same tolerance (the cascade's no-false-dismissal contract), so rows
-// differ only in cost. With --metrics_json the per-(eps, plan) rows are
-// also written as JSON lines including the prune breakdown.
+// Algorithm 1), each bound alone, and the full pipeline — over a banded
+// random-walk workload, reporting per-stage pruning counters and the
+// headline metric: exact-DTW evaluations started per query. Every plan's
+// answers are cross-validated against plain TW-Sim-Search at the same
+// tolerance (the cascade's no-false-dismissal contract), so rows differ
+// only in cost; any disagreement exits 1. With --metrics_json the
+// per-(eps, plan) rows are also written as JSON lines including the
+// prune breakdown.
 //
 // A Sakoe-Chiba band (--band >= 0) is the showcase configuration: with an
 // unconstrained DTW the per-position envelope degenerates toward LB_Yi's
-// global envelope and the later stages stop earning their keep — which
-// the auto planner (see --plan in the CLI and docs/PLANNER.md) learns on
-// its own.
+// global envelope and the later stages stop earning their keep (see
+// docs/PLANNER.md).
 
 #include <cstdint>
 #include <cstdio>
@@ -24,7 +24,7 @@
 #include "common/bench_util.h"
 #include "common/flags.h"
 #include "common/table_printer.h"
-#include "plan/cascade_planner.h"
+#include "plan/filter_cascade.h"
 #include "sequence/random_walk_generator.h"
 
 namespace warpindex {
@@ -39,11 +39,10 @@ std::vector<PlanCase> PlanCases() {
   using S = CascadeStage;
   return {
       {"paper", CascadePlan::Paper()},
-      {"feature", CascadePlan{{S::kFeatureLb}}},
       {"yi", CascadePlan{{S::kLbYi}}},
       {"keogh", CascadePlan{{S::kLbKeogh}}},
       {"improved", CascadePlan{{S::kLbImproved}}},
-      {"feature+keogh", CascadePlan{{S::kFeatureLb, S::kLbKeogh}}},
+      {"keogh+impr", CascadePlan{{S::kLbKeogh, S::kLbImproved}}},
       {"full", CascadePlan::Full()},
   };
 }
@@ -86,16 +85,15 @@ int Run(int argc, char** argv) {
           std::to_string(length) + ", band=" + std::to_string(band) +
           ", " + std::to_string(num_queries) + " queries per eps");
 
-  // One engine per plan, all over the same dataset. The planner is fixed
-  // to the row's stage subset; the "paper" row doubles as the plain
-  // TW-Sim-Search baseline (its dtw_evals match by construction, which
-  // the cross-validation below re-checks).
+  // One engine per plan, all over the same dataset, each running the row's
+  // stage subset; the "paper" row doubles as the plain TW-Sim-Search
+  // baseline (its dtw_evals match by construction, which the
+  // cross-validation below re-checks).
   std::vector<std::unique_ptr<Engine>> engines;
   for (const PlanCase& plan_case : PlanCases()) {
     EngineOptions options;
     options.dtw.band = static_cast<int>(band);
-    options.cascade_planner.mode = PlanMode::kFixed;
-    options.cascade_planner.fixed = plan_case.plan;
+    options.cascade_plan = plan_case.plan;
     engines.push_back(
         std::make_unique<Engine>(dataset, std::move(options)));
   }
@@ -106,7 +104,7 @@ int Run(int argc, char** argv) {
   bench::MetricsJsonWriter json("abl10_lb_cascade", metrics_json);
   TablePrinter table(stdout,
                      {"eps", "plan", "candidates", "dtw_evals", "dtw_cells",
-                      "pr_feat", "pr_yi", "pr_keogh", "pr_impr",
+                      "pr_yi", "pr_keogh", "pr_impr",
                       "wall_ms"});
   table.PrintHeader();
   for (const double eps : bench::ParseDoubleList(eps_list)) {
@@ -135,7 +133,6 @@ int Run(int argc, char** argv) {
            bench::FormatDouble(summary.avg_candidates, 1),
            bench::FormatDouble(summary.avg_dtw_evals, 1),
            bench::FormatDouble(summary.avg_dtw_cells, 0),
-           std::to_string(PrunedAt(summary, kStageFeatureLbCascade)),
            std::to_string(PrunedAt(summary, kStageLbYiCascade)),
            std::to_string(PrunedAt(summary, kStageLbKeoghCascade)),
            std::to_string(PrunedAt(summary, kStageLbImprovedCascade)),

@@ -127,23 +127,21 @@ bool ParseMethod(const std::string& name, MethodKind* kind) {
   return true;
 }
 
-bool ParsePlan(const std::string& name, PlanMode* mode) {
+bool ParsePlan(const std::string& name, CascadePlan* plan) {
   if (name == "paper") {
-    *mode = PlanMode::kPaper;
+    *plan = CascadePlan::Paper();
   } else if (name == "cascade") {
-    *mode = PlanMode::kCascade;
-  } else if (name == "auto") {
-    *mode = PlanMode::kAuto;
+    *plan = CascadePlan::Full();
   } else {
-    std::fprintf(stderr, "unknown --plan '%s' (paper | cascade | auto)\n",
+    std::fprintf(stderr, "unknown --plan '%s' (paper | cascade)\n",
                  name.c_str());
     return false;
   }
   return true;
 }
 
-// Per-stage pruning summary of one or many queries (--method cascade, or
-// tw with the LB_Yi cascade); silent when no stage recorded counters.
+// Per-stage pruning summary of one or many queries; silent when no stage
+// recorded counters.
 void PrintPruneTable(const StageCounters& prunes) {
   if (prunes.empty()) {
     return;
@@ -322,7 +320,7 @@ int RunServe(int argc, char** argv) {
   flags.AddDouble("eps", &eps, "tolerance for every range query");
   flags.AddString("method", &method, "tw | naive | lb | st | cascade");
   flags.AddString("plan", &plan,
-                  "--method cascade stage planning: paper | cascade | auto");
+                  "--method cascade lower-bound stages: paper | cascade");
   flags.AddInt64("threads", &threads, "executor worker count");
   flags.AddInt64("repeat", &repeat, "times to run the whole batch");
   flags.AddInt64("seed", &seed, "generated-workload seed");
@@ -402,8 +400,8 @@ int RunServe(int argc, char** argv) {
   if (!ParseMethod(method, &kind)) {
     return 1;
   }
-  PlanMode plan_mode;
-  if (!ParsePlan(plan, &plan_mode)) {
+  CascadePlan cascade_plan;
+  if (!ParsePlan(plan, &cascade_plan)) {
     return 1;
   }
 
@@ -460,7 +458,7 @@ int RunServe(int argc, char** argv) {
 
   EngineOptions options;
   options.build_st_filter = kind == MethodKind::kStFilter;
-  options.cascade_planner.mode = plan_mode;
+  options.cascade_plan = cascade_plan;
   // --ingest verification rebuilds a from-scratch reference over the
   // final live set, so keep the base rows before the dataset moves.
   Dataset ingest_base;
@@ -573,7 +571,7 @@ int RunServe(int argc, char** argv) {
     std::printf("serving %zu %s queries (eps=%.4f, plan=%s) over %zu "
                 "threads\n",
                 requests.size(), MethodKindName(kind), eps,
-                PlanModeName(plan_mode), executor.num_threads());
+                cascade_plan.ToString().c_str(), executor.num_threads());
   } else {
     std::printf("serving %zu %s queries (eps=%.4f) over %zu threads\n",
                 requests.size(), MethodKindName(kind), eps,
@@ -1680,7 +1678,7 @@ int Run(int argc, char** argv) {
   flags.AddString("method", &method,
                   "range-query method: tw | naive | lb | st | cascade");
   flags.AddString("plan", &plan,
-                  "--method cascade stage planning: paper | cascade | auto");
+                  "--method cascade lower-bound stages: paper | cascade");
   flags.AddInt64("shards", &shards,
                  "partition the database across this many per-shard "
                  "engines with scatter-gather fan-out (1 = unsharded)");
@@ -1708,8 +1706,8 @@ int Run(int argc, char** argv) {
   if (!ParseMethod(method, &method_kind)) {
     return 1;
   }
-  PlanMode plan_mode;
-  if (!ParsePlan(plan, &plan_mode)) {
+  CascadePlan cascade_plan;
+  if (!ParsePlan(plan, &cascade_plan)) {
     return 1;
   }
   if (eps < 0.0 && k <= 0) {
@@ -1764,7 +1762,7 @@ int Run(int argc, char** argv) {
 
   EngineOptions options;
   options.build_st_filter = compare || method_kind == MethodKind::kStFilter;
-  options.cascade_planner.mode = plan_mode;
+  options.cascade_plan = cascade_plan;
   ServingEngine serving;
   if (!BuildServingEngine(std::move(dataset), options, shards, partition,
                           nullptr, &serving)) {

@@ -86,10 +86,10 @@ void Engine::BuildMethods() {
     index_pool_ = std::make_unique<BufferPool>(options_.index_buffer_pages);
   }
   tw_sim_search_ = std::make_unique<TwSimSearch>(
+      &feature_index_, &store_, options_.dtw, index_pool_.get());
+  tw_sim_search_cascade_ = std::make_unique<TwSimSearch>(
       &feature_index_, &store_, options_.dtw, index_pool_.get(),
-      options_.lb_cascade);
-  tw_sim_search_cascade_ = std::make_unique<TwSimSearchCascade>(
-      tw_sim_search_.get(), options_.dtw, options_.cascade_planner);
+      options_.cascade_plan);
   tw_knn_search_ = std::make_unique<TwKnnSearch>(&feature_index_, &store_,
                                                  options_.dtw);
   naive_scan_ = std::make_unique<NaiveScan>(&store_, options_.dtw);
@@ -132,7 +132,6 @@ void Engine::RegisterMetrics() {
   // One in/pruned counter pair per known filtering stage, matching the
   // SearchCost::prunes stage names.
   const std::pair<std::string_view, std::string_view> stages[] = {
-      {kStageFeatureLbCascade, "feature_lb"},
       {kStageLbYiCascade, "lb_yi"},
       {kStageLbKeoghCascade, "lb_keogh"},
       {kStageLbImprovedCascade, "lb_improved"},

@@ -38,7 +38,6 @@
 #include "dtw/dtw.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/cascade_search.h"
 #include "sequence/dataset.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_model.h"
@@ -52,9 +51,9 @@ enum class MethodKind {
   kNaiveScan,
   kLbScan,
   kStFilter,
-  // TW-Sim-Search with the planned lower-bound cascade between the index
-  // filter and exact DTW (src/plan/). Identical answers, fewer DTW
-  // evaluations; see docs/PLANNER.md.
+  // TW-Sim-Search with EngineOptions::cascade_plan's lower bounds between
+  // the index filter and exact DTW (src/plan/). Identical answers, fewer
+  // DTW evaluations; see docs/PLANNER.md.
   kTwSimSearchCascade,
 };
 
@@ -88,14 +87,10 @@ struct EngineOptions {
   // pool is thread-safe (lock-striped shards), so queries stay safe to
   // run concurrently; see docs/CONCURRENCY.md.
   size_t index_buffer_pages = 0;
-  // Insert the O(n) LB_Yi bound before exact DTW in TW-Sim-Search's
-  // post-processing (answers unchanged, DTW cells drop). Off by default
-  // to match the paper's Algorithm 1 exactly.
-  bool lb_cascade = false;
-  // Planner configuration for MethodKind::kTwSimSearchCascade (plan
-  // mode, fixed plan, cost-model knobs). The default runs the full
-  // lower-bound cascade on every query; see docs/PLANNER.md.
-  CascadePlannerOptions cascade_planner;
+  // The lower-bound stages MethodKind::kTwSimSearchCascade runs before
+  // exact DTW, fixed for every query. kTwSimSearch always runs the empty
+  // plan (the paper's Algorithm 1); see docs/PLANNER.md.
+  CascadePlan cascade_plan = CascadePlan::Full();
   // Build the §6 subsequence-matching window index too (opt-in: its size
   // is O(total elements * window range / stride)).
   bool build_subsequence_index = false;
@@ -214,10 +209,6 @@ class Engine : public EngineLike {
   void RebuildSubsequenceIndex();
 
   const SearchMethod& method(MethodKind kind) const;
-  // The cascade variant (never null); /statusz reads its planner.
-  const TwSimSearchCascade& tw_sim_search_cascade() const {
-    return *tw_sim_search_cascade_;
-  }
   bool has_st_filter() const { return st_filter_ != nullptr; }
 
   const Dataset& dataset() const { return dataset_; }
@@ -292,7 +283,7 @@ class Engine : public EngineLike {
   DiskModel disk_model_;
 
   std::unique_ptr<TwSimSearch> tw_sim_search_;
-  std::unique_ptr<TwSimSearchCascade> tw_sim_search_cascade_;
+  std::unique_ptr<TwSimSearch> tw_sim_search_cascade_;
   std::unique_ptr<TwKnnSearch> tw_knn_search_;
   std::unique_ptr<NaiveScan> naive_scan_;
   std::unique_ptr<LbScan> lb_scan_;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "dtw/lb_yi.h"
 #include "sequence/feature.h"
 
 namespace warpindex {
@@ -59,55 +58,8 @@ SearchResult TwSimSearch::SearchImpl(const Sequence& query, double epsilon,
   WallTimer timer;
   ThreadCpuTimer cpu_timer;
   SearchResult result;
-  DtwScratch local_scratch;
-  if (scratch == nullptr) {
-    scratch = &local_scratch;  // reused across candidates within the query
-  }
-
-  std::vector<Sequence> fetched =
-      FilterAndFetch(query, epsilon, &result, trace);
-
-  // Optional LB_Yi cascade: discard candidates the O(n) bound already
-  // rules out (LB_Yi <= D_tw, so answers are unchanged).
-  if (lb_cascade_) {
-    StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageLbYiCascade);
-    const Envelope query_env = ComputeEnvelope(query);
-    const size_t in = fetched.size();
-    size_t kept = 0;
-    for (size_t i = 0; i < fetched.size(); ++i) {
-      ++result.cost.lb_evals;
-      if (LbYiWithEnvelopes(fetched[i], ComputeEnvelope(fetched[i]), query,
-                            query_env, dtw_.options()) <= epsilon) {
-        if (kept != i) {
-          fetched[kept] = std::move(fetched[i]);
-        }
-        ++kept;
-      }
-    }
-    fetched.resize(kept);
-    result.cost.prunes.Record(kStageLbYiCascade, in, in - kept);
-    TraceCounter(trace, "lb_evals",
-                 static_cast<double>(result.cost.lb_evals));
-  }
-
-  // Step-4..7: post-processing with the exact time-warping distance.
-  {
-    StageTimer stage(&result.cost.stages, &result.cost.stages_cpu, trace, kStageDtwPostfilter);
-    for (const Sequence& s : fetched) {
-      ++result.cost.dtw_evals;
-      const DtwResult d =
-          dtw_.DistanceWithThreshold(s, query, epsilon, scratch);
-      result.cost.dtw_cells += d.cells;
-      if (d.distance <= epsilon) {
-        result.matches.push_back(s.id());
-        result.distances.push_back(d.distance);
-      }
-    }
-    result.cost.prunes.Record(kStageDtwPostfilter, fetched.size(),
-                              fetched.size() - result.matches.size());
-    TraceCounter(trace, "dtw_cells",
-                 static_cast<double>(result.cost.dtw_cells));
-  }
+  cascade_.Run(query, epsilon, FilterAndFetch(query, epsilon, &result, trace),
+               plan_, &result, trace, scratch);
   result.cost.wall_ms = timer.ElapsedMillis();
   result.cost.cpu_ms = cpu_timer.ElapsedMillis();
   return result;

@@ -9,13 +9,24 @@
 // Guarantees: no false dismissal (Theorem 1 + Corollary 1); the index
 // range predicate equals "D_tw-lb <= epsilon", and D_tw-lb lower-bounds
 // D_tw.
+//
+// Between Step-5 and Step-6 an optional fixed CascadePlan of cheaper
+// lower bounds (plan/filter_cascade.h) discards candidates no match can
+// be among; the answers are unchanged, only exact-DTW work drops. The
+// engine builds one instance with the empty plan (kTwSimSearch, the
+// paper verbatim) and one with EngineOptions::cascade_plan
+// (kTwSimSearchCascade).
 
 #ifndef WARPINDEX_CORE_TW_SIM_SEARCH_H_
 #define WARPINDEX_CORE_TW_SIM_SEARCH_H_
 
+#include <utility>
+#include <vector>
+
 #include "core/feature_index.h"
 #include "core/search_method.h"
 #include "dtw/dtw.h"
+#include "plan/filter_cascade.h"
 #include "storage/buffer_pool.h"
 #include "storage/sequence_store.h"
 
@@ -31,39 +42,37 @@ class TwSimSearch : public SearchMethod {
   // per-query hit/miss attribution lands in SearchCost, not on shared
   // counters.
   //
-  // `lb_cascade` inserts the O(n) LB_Yi bound between the feature filter
-  // and the exact DTW in Step-6 — D_tw-lb <= LB_Yi <= D_tw, so a
-  // candidate failing LB_Yi needs no DP at all. (The cascade idea later
-  // became standard practice, e.g. in the UCR suite.) Answers are
-  // unchanged; only dtw_cells drop.
+  // `plan` names the lower-bound stages run before exact DTW; the empty
+  // plan is Algorithm 1 verbatim.
   TwSimSearch(const FeatureIndex* index, const SequenceStore* store,
               DtwOptions dtw_options,
               const BufferPool* index_pool = nullptr,
-              bool lb_cascade = false)
-      : index_(index), store_(store), dtw_(dtw_options),
-        index_pool_(index_pool), lb_cascade_(lb_cascade) {}
+              CascadePlan plan = CascadePlan::Paper())
+      : index_(index), store_(store), cascade_(dtw_options),
+        index_pool_(index_pool), plan_(std::move(plan)) {}
 
-  const char* name() const override { return "TW-Sim-Search"; }
-
-  // Algorithm 1 Steps 1-5 on their own: feature extraction, index range
-  // query, and candidate fetch, with I/O and node costs accounted into
-  // `result` (stages rtree_search + candidate_fetch). Returns the fetched
-  // candidate sequences in index-return order. SearchImpl follows it with
-  // the DTW post-filter; TwSimSearchCascade with its planned cascade.
-  std::vector<Sequence> FilterAndFetch(const Sequence& query,
-                                       double epsilon, SearchResult* result,
-                                       Trace* trace) const;
+  const char* name() const override {
+    return plan_.stages.empty() ? "TW-Sim-Search" : "TW-Sim-Search-Cascade";
+  }
 
  protected:
   SearchResult SearchImpl(const Sequence& query, double epsilon,
                           Trace* trace, DtwScratch* scratch) const override;
 
  private:
+  // Algorithm 1 Steps 1-5 on their own: feature extraction, index range
+  // query, and candidate fetch, with I/O and node costs accounted into
+  // `result` (stages rtree_search + candidate_fetch). Returns the fetched
+  // candidate sequences in index-return order.
+  std::vector<Sequence> FilterAndFetch(const Sequence& query,
+                                       double epsilon, SearchResult* result,
+                                       Trace* trace) const;
+
   const FeatureIndex* index_;
   const SequenceStore* store_;
-  Dtw dtw_;
+  FilterCascade cascade_;
   const BufferPool* index_pool_;
-  bool lb_cascade_;
+  CascadePlan plan_;
 };
 
 }  // namespace warpindex

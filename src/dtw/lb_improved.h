@@ -22,8 +22,7 @@
 //
 // Always >= LB_Keogh (it adds a non-negative second pass), still O(n), and
 // in practice prunes a large fraction of the candidates LB_Keogh lets
-// through — at roughly 2x its cost, which is what the cascade planner's
-// cost model weighs.
+// through — at roughly 2x its cost.
 
 #ifndef WARPINDEX_DTW_LB_IMPROVED_H_
 #define WARPINDEX_DTW_LB_IMPROVED_H_

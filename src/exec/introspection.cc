@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "obs/exporters.h"
-#include "plan/cascade_planner.h"
+#include "plan/filter_cascade.h"
 
 namespace warpindex {
 namespace {
@@ -50,30 +50,6 @@ std::string RTreeHealthJson(const RTreeHealth& h) {
     out += ",\"min_occupancy\":" + Num(level.min_occupancy) + "}";
   }
   out += "]}";
-  return out;
-}
-
-std::string PlannerJson(const CascadePlanner::Snapshot& p) {
-  std::string out = "{";
-  out += "\"mode\":" + JsonEscape(PlanModeName(p.mode));
-  out += ",\"plans_chosen\":" + std::to_string(p.plans_chosen);
-  out += ",\"current_plan\":" + JsonEscape(p.current_plan.ToString());
-  out += ",\"stages\":{";
-  for (size_t i = 0; i < p.stages.size(); ++i) {
-    const CascadePlanner::StageSnapshot& stage = p.stages[i];
-    if (i > 0) {
-      out.push_back(',');
-    }
-    out += JsonEscape(std::string(CascadeStageName(stage.stage)));
-    out += ":{\"unit_cost_ms\":" + Num(stage.stats.unit_cost_ms);
-    out += ",\"pass_rate\":" + Num(stage.stats.pass_rate);
-    out += ",\"updates\":" + std::to_string(stage.stats.updates);
-    out += std::string(",\"in_current_plan\":") +
-           (stage.in_current_plan ? "true" : "false") + "}";
-  }
-  out += "},\"dtw\":{\"unit_cost_ms\":" + Num(p.dtw.unit_cost_ms);
-  out += ",\"pass_rate\":" + Num(p.dtw.pass_rate);
-  out += ",\"updates\":" + std::to_string(p.dtw.updates) + "}}";
   return out;
 }
 
@@ -512,15 +488,13 @@ std::string StatuszJson(const IntrospectionOptions& options,
     out += ",\"buffer_pool\":null";
   }
 
-  // Single-engine index/planner detail; the sharded equivalents live
-  // per shard inside "sharding" (each shard has its own R-tree and
-  // CascadePlanner).
+  // Single-engine index/plan detail; the sharded equivalents live per
+  // shard inside "sharding" (each shard has its own R-tree).
   if (options.engine != nullptr) {
     out += ",\"rtree\":" + RTreeHealthJson(health.index);
-    out += ",\"planner\":" +
-           PlannerJson(options.engine->tw_sim_search_cascade()
-                           .planner()
-                           .TakeSnapshot());
+    out += ",\"planner\":{\"current_plan\":" +
+           JsonEscape(options.engine->options().cascade_plan.ToString()) +
+           "}";
   } else {
     out += ",\"rtree\":null,\"planner\":null";
   }

@@ -27,8 +27,6 @@ namespace warpindex {
 inline constexpr std::string_view kStageRtreeSearch = "rtree_search";
 inline constexpr std::string_view kStageCandidateFetch = "candidate_fetch";
 inline constexpr std::string_view kStageLbYiCascade = "lb_yi_cascade";
-inline constexpr std::string_view kStageFeatureLbCascade =
-    "feature_lb_cascade";
 inline constexpr std::string_view kStageLbKeoghCascade = "lb_keogh_cascade";
 inline constexpr std::string_view kStageLbImprovedCascade =
     "lb_improved_cascade";

@@ -3,18 +3,15 @@
 #include <cassert>
 #include <utility>
 
-#include "common/timer.h"
 #include "dtw/lb_improved.h"
+#include "dtw/lb_keogh.h"
 #include "dtw/lb_yi.h"
 #include "obs/stage_timings.h"
-#include "sequence/feature.h"
 
 namespace warpindex {
 
 std::string_view CascadeStageName(CascadeStage stage) {
   switch (stage) {
-    case CascadeStage::kFeatureLb:
-      return kStageFeatureLbCascade;
     case CascadeStage::kLbYi:
       return kStageLbYiCascade;
     case CascadeStage::kLbKeogh:
@@ -26,8 +23,8 @@ std::string_view CascadeStageName(CascadeStage stage) {
 }
 
 CascadePlan CascadePlan::Full() {
-  return CascadePlan{{CascadeStage::kFeatureLb, CascadeStage::kLbYi,
-                      CascadeStage::kLbKeogh, CascadeStage::kLbImproved}};
+  return CascadePlan{{CascadeStage::kLbYi, CascadeStage::kLbKeogh,
+                      CascadeStage::kLbImproved}};
 }
 
 std::string CascadePlan::ToString() const {
@@ -48,9 +45,6 @@ struct QueryArtifacts {
   const Sequence* query = nullptr;
   DtwOptions options;
 
-  bool have_feature = false;
-  FeatureVector feature;
-
   bool have_yi_env = false;
   Envelope yi_env;
 
@@ -59,14 +53,6 @@ struct QueryArtifacts {
 
   // Reused by every candidate's LB_Improved second pass.
   LbImprovedScratch lb_improved_scratch;
-
-  const FeatureVector& Feature() {
-    if (!have_feature) {
-      feature = ExtractFeature(*query);
-      have_feature = true;
-    }
-    return feature;
-  }
 
   const Envelope& YiEnvelope() {
     if (!have_yi_env) {
@@ -90,8 +76,6 @@ struct QueryArtifacts {
 double StageBound(CascadeStage stage, const Sequence& s,
                   QueryArtifacts* qa) {
   switch (stage) {
-    case CascadeStage::kFeatureLb:
-      return DtwLowerBoundDistance(ExtractFeature(s), qa->Feature());
     case CascadeStage::kLbYi:
       return LbYiWithEnvelopes(s, ComputeEnvelope(s), *qa->query,
                                qa->YiEnvelope(), qa->options);
@@ -106,74 +90,56 @@ double StageBound(CascadeStage stage, const Sequence& s,
 
 }  // namespace
 
-void FilterCascade::RunLbStages(const Sequence& query, double epsilon,
-                                std::vector<Sequence>* candidates,
-                                const CascadePlan& plan,
-                                SearchResult* result, Trace* trace,
-                                CascadeObservation* obs) const {
-  assert(!query.empty() && epsilon >= 0.0);
-  QueryArtifacts qa;
-  qa.query = &query;
-  qa.options = options_;
-
-  for (const CascadeStage stage : plan.stages) {
-    if (candidates->empty()) {
-      break;  // nothing left to prune; skip the remaining stages
-    }
-    const std::string_view name = CascadeStageName(stage);
-    ScopedSpan span(trace, name);
-    WallTimer timer;
-    ThreadCpuTimer cpu_timer;
-    const size_t in = candidates->size();
-    size_t kept = 0;
-    for (size_t i = 0; i < candidates->size(); ++i) {
-      ++result->cost.lb_evals;
-      // Prune only on a STRICT excess: a bound exactly at epsilon cannot
-      // rule the candidate out under Algorithm 1's `<= epsilon`
-      // acceptance (the exact distance may equal the bound).
-      if (StageBound(stage, (*candidates)[i], &qa) <= epsilon) {
-        if (kept != i) {
-          (*candidates)[kept] = std::move((*candidates)[i]);
-        }
-        ++kept;
-      }
-    }
-    candidates->resize(kept);
-    const double ms = timer.ElapsedMillis();
-    result->cost.stages.Add(name, ms);
-    result->cost.stages_cpu.Add(name, cpu_timer.ElapsedMillis());
-    result->cost.prunes.Record(name, in, in - kept);
-    if (obs != nullptr) {
-      StageObservation& so = obs->at(stage);
-      so.in += in;
-      so.pruned += in - kept;
-      so.ms += ms;
-    }
-  }
-  TraceCounter(trace, "lb_evals",
-               static_cast<double>(result->cost.lb_evals));
-}
-
 void FilterCascade::Run(const Sequence& query, double epsilon,
                         std::vector<Sequence> candidates,
                         const CascadePlan& plan, SearchResult* result,
-                        Trace* trace, DtwScratch* scratch,
-                        CascadeObservation* obs) const {
-  RunLbStages(query, epsilon, &candidates, plan, result, trace, obs);
+                        Trace* trace, DtwScratch* scratch) const {
+  assert(!query.empty() && epsilon >= 0.0);
+  if (!plan.stages.empty()) {
+    QueryArtifacts qa;
+    qa.query = &query;
+    qa.options = options();
+    for (const CascadeStage stage : plan.stages) {
+      if (candidates.empty()) {
+        break;  // nothing left to prune; skip the remaining stages
+      }
+      const std::string_view name = CascadeStageName(stage);
+      StageTimer timer(&result->cost.stages, &result->cost.stages_cpu, trace,
+                       name);
+      const size_t in = candidates.size();
+      size_t kept = 0;
+      for (size_t i = 0; i < in; ++i) {
+        ++result->cost.lb_evals;
+        // Prune only on a STRICT excess: a bound exactly at epsilon
+        // cannot rule the candidate out under Algorithm 1's
+        // `<= epsilon` acceptance (the exact distance may equal the
+        // bound).
+        if (StageBound(stage, candidates[i], &qa) <= epsilon) {
+          if (kept != i) {
+            candidates[kept] = std::move(candidates[i]);
+          }
+          ++kept;
+        }
+      }
+      candidates.resize(kept);
+      result->cost.prunes.Record(name, in, in - kept);
+    }
+    TraceCounter(trace, "lb_evals",
+                 static_cast<double>(result->cost.lb_evals));
+  }
 
+  // Step-4..7 of Algorithm 1: the exact time-warping distance.
   DtwScratch local_scratch;
   if (scratch == nullptr) {
-    scratch = &local_scratch;
+    scratch = &local_scratch;  // reused across candidates within the query
   }
-  ScopedSpan span(trace, kStageDtwPostfilter);
-  WallTimer timer;
-  ThreadCpuTimer cpu_timer;
-  const size_t in = candidates.size();
+  StageTimer timer(&result->cost.stages, &result->cost.stages_cpu, trace,
+                   kStageDtwPostfilter);
   const size_t matches_before = result->matches.size();
   for (const Sequence& s : candidates) {
     ++result->cost.dtw_evals;
-    const DtwResult d = dtw_.DistanceWithThreshold(s, query, epsilon,
-                                                   scratch);
+    const DtwResult d =
+        dtw_.DistanceWithThreshold(s, query, epsilon, scratch);
     result->cost.dtw_cells += d.cells;
     if (d.distance <= epsilon) {
       result->matches.push_back(s.id());
@@ -181,15 +147,8 @@ void FilterCascade::Run(const Sequence& query, double epsilon,
     }
   }
   const size_t matched = result->matches.size() - matches_before;
-  const double ms = timer.ElapsedMillis();
-  result->cost.stages.Add(kStageDtwPostfilter, ms);
-  result->cost.stages_cpu.Add(kStageDtwPostfilter, cpu_timer.ElapsedMillis());
-  result->cost.prunes.Record(kStageDtwPostfilter, in, in - matched);
-  if (obs != nullptr) {
-    obs->dtw.in += in;
-    obs->dtw.pruned += in - matched;
-    obs->dtw.ms += ms;
-  }
+  result->cost.prunes.Record(kStageDtwPostfilter, candidates.size(),
+                             candidates.size() - matched);
   TraceCounter(trace, "dtw_cells",
                static_cast<double>(result->cost.dtw_cells));
 }

@@ -1,14 +1,17 @@
 // FilterCascade: an ordered pipeline of progressively tighter,
-// progressively costlier DTW lower bounds, run over a candidate list
-// before the exact-DTW post-filter.
+// progressively costlier DTW lower bounds, run over the index's candidate
+// list before the exact-DTW post-filter.
 //
 // Stage contracts (the no-false-dismissal argument):
 //
-//   feature_lb   D_tw-lb over the 4-tuple feature (paper Def. 3)
 //   lb_yi        global-envelope bound (Yi et al.)
 //   lb_keogh     per-position banded envelope bound (dtw/lb_keogh.h)
 //   lb_improved  Lemire's two-pass refinement (dtw/lb_improved.h)
 //   dtw          exact early-abandoning D_tw (always last, implicit)
+//
+// D_tw-lb (paper Def. 3) is not a stage: the feature index's range query
+// already is the predicate D_tw-lb <= epsilon (core/tw_sim_search.h), so
+// re-evaluating it over the index's candidates could never prune.
 //
 // Every lower-bound stage L satisfies L(S, Q) <= D_tw(S, Q) for the
 // configured DtwOptions (each proved in its own header; all three base
@@ -21,15 +24,11 @@
 //
 // Each stage records candidates-in / pruned into SearchCost::prunes and
 // its elapsed time into SearchCost::stages (names shared with traces and
-// metrics), plus an optional CascadeObservation consumed by the
-// CascadePlanner's online cost model.
+// metrics).
 
 #ifndef WARPINDEX_PLAN_FILTER_CASCADE_H_
 #define WARPINDEX_PLAN_FILTER_CASCADE_H_
 
-#include <array>
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,7 +36,6 @@
 #include "core/search_method.h"
 #include "dtw/base_distance.h"
 #include "dtw/dtw.h"
-#include "dtw/lb_keogh.h"
 #include "obs/trace.h"
 #include "sequence/sequence.h"
 
@@ -46,13 +44,10 @@ namespace warpindex {
 // The lower-bound stages a plan may run, in canonical cheapest-to-
 // tightest order. The exact-DTW stage is implicit and always last.
 enum class CascadeStage {
-  kFeatureLb = 0,
-  kLbYi = 1,
-  kLbKeogh = 2,
-  kLbImproved = 3,
+  kLbYi,
+  kLbKeogh,
+  kLbImproved,
 };
-
-inline constexpr size_t kNumCascadeStages = 4;
 
 // Canonical stage name, shared across timings, prune counters, trace
 // spans, and metrics (the kStage*Cascade constants).
@@ -62,64 +57,32 @@ std::string_view CascadeStageName(CascadeStage stage);
 struct CascadePlan {
   std::vector<CascadeStage> stages;
 
-  // All four bounds in canonical order — the full cascade.
+  // All three bounds in canonical order — the full cascade.
   static CascadePlan Full();
   // No lower-bound stage at all: the paper's Algorithm 1 (index filter
   // then exact DTW).
   static CascadePlan Paper() { return CascadePlan{}; }
 
-  // "feature_lb_cascade > lb_keogh_cascade > dtw" (always ends in dtw).
+  // "lb_yi_cascade > lb_keogh_cascade > dtw" (always ends in dtw).
   std::string ToString() const;
-};
-
-// What one executed query observed at one stage.
-struct StageObservation {
-  uint64_t in = 0;
-  uint64_t pruned = 0;
-  double ms = 0.0;
-};
-
-// Per-stage observations of one query, fed back into the planner's cost
-// model. Stages that did not run keep in == 0.
-struct CascadeObservation {
-  std::array<StageObservation, kNumCascadeStages> lb;
-  StageObservation dtw;
-
-  StageObservation& at(CascadeStage stage) {
-    return lb[static_cast<size_t>(stage)];
-  }
-  const StageObservation& at(CascadeStage stage) const {
-    return lb[static_cast<size_t>(stage)];
-  }
 };
 
 class FilterCascade {
  public:
-  explicit FilterCascade(DtwOptions options)
-      : options_(options), dtw_(options) {}
+  explicit FilterCascade(DtwOptions options) : dtw_(options) {}
 
-  const DtwOptions& options() const { return options_; }
+  const DtwOptions& options() const { return dtw_.options(); }
 
   // Runs `plan`'s lower-bound stages and then the exact-DTW stage over
   // `candidates` (consumed). Matching ids append to result->matches in
   // candidate order; stage timings, prune counters, lb/dtw eval counts,
-  // and DP cells accumulate into result->cost. `obs`, `trace`, and
-  // `scratch` are optional.
+  // and DP cells accumulate into result->cost. `trace` and `scratch` are
+  // optional.
   void Run(const Sequence& query, double epsilon,
            std::vector<Sequence> candidates, const CascadePlan& plan,
-           SearchResult* result, Trace* trace, DtwScratch* scratch,
-           CascadeObservation* obs = nullptr) const;
-
-  // The lower-bound stages only: prunes `candidates` in place and leaves
-  // the exact-DTW stage to the caller (the concurrent executor fans it
-  // out in chunks). Same accounting as Run() minus the dtw stage.
-  void RunLbStages(const Sequence& query, double epsilon,
-                   std::vector<Sequence>* candidates,
-                   const CascadePlan& plan, SearchResult* result,
-                   Trace* trace, CascadeObservation* obs = nullptr) const;
+           SearchResult* result, Trace* trace, DtwScratch* scratch) const;
 
  private:
-  DtwOptions options_;
   Dtw dtw_;
 };
 

@@ -2,10 +2,8 @@
 // independent per-shard Engines, with scatter-gather query fan-out.
 //
 // Why: every structure a query touches — R-tree, sequence store, buffer
-// pool, cascade planner — is per-shard, so each index stays N/K small, K
-// shards answer one query in parallel on the serving pool, and each
-// shard's CascadePlanner learns the cost model of ITS data rather than a
-// global average. Answers are bit-identical to a single Engine over the
+// pool — is per-shard, so each index stays N/K small and K shards answer
+// one query in parallel on the serving pool. Answers are bit-identical to a single Engine over the
 // same dataset: range queries take the union of the unpruned shards'
 // answers in ascending global id order, kNN merges per-shard top lists
 // by (distance, id) under one shared shrinking bound. The fan-out,

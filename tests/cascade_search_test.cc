@@ -1,12 +1,11 @@
-// TW-Sim-Search-Cascade (plan/cascade_search.h) end to end: on the stock
+// TW-Sim-Search-Cascade (core/tw_sim_search.h with
+// EngineOptions::cascade_plan) end to end: on the stock
 // and random-walk datasets, MethodKind::kTwSimSearchCascade returns
 // exactly the same result set as MethodKind::kTwSimSearch — sequentially
 // and through the concurrent executor with 4 threads — while performing
 // no more (and on a banded config strictly fewer) exact-DTW evaluations,
 // exporting the per-stage pruning counters through the engine's metrics
 // registry.
-
-#include "plan/cascade_search.h"
 
 #include <gtest/gtest.h>
 
@@ -169,39 +168,6 @@ TEST_F(CascadeSearchTest, ExecutorBatchWith4ThreadsAnswersIdentical) {
   }
 }
 
-TEST_F(CascadeSearchTest, AutoPlanAnswersIdenticalToTwSimSearch) {
-  // kAuto re-plans per query from its online cost model (warm-up, greedy
-  // drops, periodic exploration) — none of which may change answers.
-  RandomWalkOptions data;
-  data.num_sequences = 80;
-  data.min_length = 30;
-  data.max_length = 60;
-  data.seed = 19;
-  MetricsRegistry metrics;
-  EngineOptions options;
-  options.dtw.band = 6;
-  options.cascade_planner.mode = PlanMode::kAuto;
-  options.cascade_planner.warmup_queries = 5;
-  options.cascade_planner.explore_every = 16;
-  options.metrics = &metrics;
-  Engine engine(GenerateRandomWalkDataset(data), options);
-  QueryWorkloadOptions query_options;
-  query_options.num_queries = 120;
-  query_options.seed = 23;
-  const std::vector<Sequence> workload =
-      GenerateQueryWorkload(engine.dataset(), query_options);
-
-  for (const Sequence& query : workload) {
-    const SearchResult plain =
-        engine.SearchWith(MethodKind::kTwSimSearch, query, 1.0);
-    const SearchResult cascade =
-        engine.SearchWith(MethodKind::kTwSimSearchCascade, query, 1.0);
-    ASSERT_EQ(Sorted(cascade.matches), Sorted(plain.matches));
-  }
-  EXPECT_EQ(engine.tw_sim_search_cascade().planner().plans_chosen(),
-            workload.size());
-}
-
 TEST_F(CascadeSearchTest, TieAtEpsilonIsReportedAsAMatch) {
   // Regression for Algorithm 1's `<= eps` acceptance: a data sequence at
   // exactly eps from the query must be returned by both the plain and
@@ -272,7 +238,7 @@ TEST_F(CascadeSearchTest, PruneCountersExportedThroughMetrics) {
   EXPECT_GT(CounterValue(snapshot, "warpindex_query_dtw_evals_total"), 0u);
   uint64_t total_pruned = 0;
   for (const char* stage :
-       {"feature_lb", "lb_yi", "lb_keogh", "lb_improved", "dtw"}) {
+       {"lb_yi", "lb_keogh", "lb_improved", "dtw"}) {
     const std::string prefix = std::string("warpindex_cascade_") + stage;
     const uint64_t in = CounterValue(snapshot, prefix + "_in_total");
     const uint64_t pruned = CounterValue(snapshot, prefix + "_pruned_total");

@@ -81,7 +81,7 @@ TEST(EngineTest, L1SimilarityModelSupported) {
 TEST(EngineTest, LbCascadeKeepsAnswersAndSavesDtwCells) {
   EngineOptions plain;
   EngineOptions cascaded;
-  cascaded.lb_cascade = true;
+  cascaded.cascade_plan = CascadePlan{{CascadeStage::kLbYi}};
   const Engine a(SmallDataset(), plain);
   const Engine b(SmallDataset(), cascaded);
   uint64_t plain_cells = 0;
@@ -90,7 +90,8 @@ TEST(EngineTest, LbCascadeKeepsAnswersAndSavesDtwCells) {
   for (int qi = 0; qi < 10; ++qi) {
     const Sequence q = a.dataset()[static_cast<size_t>(qi * 4 % 40)];
     const SearchResult ra = a.Search(q, 0.5);
-    const SearchResult rb = b.Search(q, 0.5);
+    const SearchResult rb =
+        b.SearchWith(MethodKind::kTwSimSearchCascade, q, 0.5);
     EXPECT_EQ(ra.matches, rb.matches);
     EXPECT_EQ(ra.num_candidates, rb.num_candidates);
     plain_cells += ra.cost.dtw_cells;

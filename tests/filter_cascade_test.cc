@@ -1,8 +1,8 @@
 // FilterCascade (plan/filter_cascade.h): for every plan — no stage, any
 // single stage, the full cascade — the surviving answer set is exactly
 // the brute-force exact-DTW answer set (no false dismissals, ties at
-// epsilon kept), and the per-stage accounting (prune counters, timings,
-// observations) is recorded consistently.
+// epsilon kept), and the per-stage accounting (prune counters, timings)
+// is recorded consistently.
 
 #include "plan/filter_cascade.h"
 
@@ -58,11 +58,9 @@ std::vector<CascadePlan> AllPlanShapes() {
   using S = CascadeStage;
   return {
       CascadePlan::Paper(),
-      CascadePlan{{S::kFeatureLb}},
       CascadePlan{{S::kLbYi}},
       CascadePlan{{S::kLbKeogh}},
       CascadePlan{{S::kLbImproved}},
-      CascadePlan{{S::kFeatureLb, S::kLbKeogh}},
       CascadePlan{{S::kLbYi, S::kLbImproved}},
       CascadePlan::Full(),
   };
@@ -95,34 +93,6 @@ TEST(FilterCascadeTest, AnswersMatchBruteForceForEveryPlanAndMode) {
   }
 }
 
-TEST(FilterCascadeTest, RunLbStagesPlusManualDtwEqualsRun) {
-  Prng prng(202);
-  DtwOptions options = DtwOptions::Linf();
-  options.band = 4;
-  const FilterCascade cascade(options);
-  const Dtw dtw(options);
-  const std::vector<Sequence> candidates = MakeCandidates(&prng, 50);
-  const Sequence query = RandomWalkSequence(&prng, 10, 30, -1);
-  const double epsilon = 0.8;
-  const CascadePlan plan = CascadePlan::Full();
-
-  SearchResult full;
-  cascade.Run(query, epsilon, candidates, plan, &full, nullptr, nullptr);
-
-  SearchResult staged;
-  std::vector<Sequence> survivors = candidates;
-  cascade.RunLbStages(query, epsilon, &survivors, plan, &staged, nullptr);
-  std::vector<SequenceId> matches;
-  for (const Sequence& s : survivors) {
-    if (dtw.Distance(s, query).distance <= epsilon) {
-      matches.push_back(s.id());
-    }
-  }
-  EXPECT_EQ(matches, full.matches);
-  // The split path reports the same lower-bound work.
-  EXPECT_EQ(staged.cost.lb_evals, full.cost.lb_evals);
-}
-
 TEST(FilterCascadeTest, RecordsPerStageCountersAndTimings) {
   Prng prng(203);
   DtwOptions options = DtwOptions::Linf();
@@ -132,28 +102,24 @@ TEST(FilterCascadeTest, RecordsPerStageCountersAndTimings) {
   const Sequence query = RandomWalkSequence(&prng, 10, 30, -1);
 
   SearchResult result;
-  CascadeObservation obs;
   cascade.Run(query, /*epsilon=*/0.5, candidates, CascadePlan::Full(),
-              &result, nullptr, nullptr, &obs);
+              &result, nullptr, nullptr);
 
   // First stage sees the whole list; each later stage sees the previous
   // stage's survivors; dtw sees the last survivors.
   uint64_t expect_in = candidates.size();
   for (const CascadeStage stage :
-       {CascadeStage::kFeatureLb, CascadeStage::kLbYi,
-        CascadeStage::kLbKeogh, CascadeStage::kLbImproved}) {
+       {CascadeStage::kLbYi, CascadeStage::kLbKeogh,
+        CascadeStage::kLbImproved}) {
     const StageCounts counts = result.cost.prunes.Get(CascadeStageName(stage));
     ASSERT_EQ(counts.in, expect_in) << CascadeStageName(stage);
     ASSERT_LE(counts.pruned, counts.in);
-    EXPECT_EQ(obs.at(stage).in, counts.in);
-    EXPECT_EQ(obs.at(stage).pruned, counts.pruned);
     EXPECT_GT(result.cost.stages.Get(CascadeStageName(stage)), 0.0);
     expect_in -= counts.pruned;
   }
   const StageCounts dtw_counts = result.cost.prunes.Get(kStageDtwPostfilter);
   EXPECT_EQ(dtw_counts.in, expect_in);
   EXPECT_EQ(dtw_counts.in - dtw_counts.pruned, result.matches.size());
-  EXPECT_EQ(obs.dtw.in, expect_in);
   EXPECT_EQ(result.cost.dtw_evals, expect_in);
   // Every candidate entering a bound stage costs one lb evaluation.
   uint64_t expected_lb_evals = 0;
@@ -215,8 +181,7 @@ TEST(CascadePlanTest, ToStringAlwaysEndsInDtw) {
   EXPECT_EQ(CascadePlan::Paper().ToString(), "dtw");
   const std::string full = CascadePlan::Full().ToString();
   EXPECT_EQ(full,
-            "feature_lb_cascade > lb_yi_cascade > lb_keogh_cascade > "
-            "lb_improved_cascade > dtw");
+            "lb_yi_cascade > lb_keogh_cascade > lb_improved_cascade > dtw");
 }
 
 }  // namespace

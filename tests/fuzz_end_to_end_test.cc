@@ -33,7 +33,9 @@ TEST(FuzzEndToEndTest, RandomConfigurationsAgreeWithScan) {
                            : split_pick == 1 ? SplitPolicy::kQuadratic
                                              : SplitPolicy::kRStar;
     options.bulk_load = prng.UniformInt(0, 1) == 1;
-    options.lb_cascade = prng.UniformInt(0, 1) == 1;
+    const MethodKind indexed_kind = prng.UniformInt(0, 1) == 1
+                                        ? MethodKind::kTwSimSearchCascade
+                                        : MethodKind::kTwSimSearch;
     options.index_buffer_pages =
         prng.UniformInt(0, 1) == 1 ? 32 : 0;
     options.dtw = prng.UniformInt(0, 1) == 1 ? DtwOptions::Linf()
@@ -69,14 +71,15 @@ TEST(FuzzEndToEndTest, RandomConfigurationsAgreeWithScan) {
     const auto queries = GenerateQueryWorkload(engine.dataset(), qw);
     for (const Sequence& q : queries) {
       const double eps = prng.UniformDouble(0.0, eps_scale);
-      const auto indexed = Sorted(engine.Search(q, eps).matches);
+      const auto indexed =
+          Sorted(engine.SearchWith(indexed_kind, q, eps).matches);
       const auto scanned = Sorted(
           engine.SearchWith(MethodKind::kNaiveScan, q, eps).matches);
       ASSERT_EQ(indexed, scanned)
           << "round=" << round << " eps=" << eps
           << " page=" << options.page_size_bytes
           << " bulk=" << options.bulk_load
-          << " cascade=" << options.lb_cascade;
+          << " method=" << MethodKindName(indexed_kind);
     }
   }
 }
